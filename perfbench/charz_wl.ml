@@ -2,14 +2,13 @@
    Poughkeepsie (Policy.plan + Policy.characterize, Rb.default_params),
    run in the benchmark process on [jobs] domains.  The traced run
    replays the pass experiment by experiment through Rb's public
-   building blocks so that Rb, Par_sched and Exec each get spans. *)
+   functions, so each SRB experiment and each independent RB gets a
+   span. *)
 
 module Device = Core.Device
 module Topology = Core.Topology
 module Policy = Core.Policy
 module Rb = Core.Rb
-module Circuit = Core.Circuit
-module Exec = Core.Exec
 
 let jobs = 2
 let threshold = 3.0
@@ -39,98 +38,14 @@ let oracle_error_mean device xtalk =
 
 (* ---- the traced replay ----
 
-   The same sequence of RB runs Policy.characterize makes, drawn from
-   the same stream: each experiment's SRB run, then the independent RB
-   of each target not measured yet, in pair order.  Rb.run's body is
-   mirrored from Clifford2, Par_sched, Exec and Fit, so the replay's
-   raw rates must equal the untraced pass bit for bit; a mismatch
-   means the mirror is stale and is reported as trace.replay_match 0. *)
+   The loop of Policy.characterize, drawn from the same stream: each
+   experiment's SRB run, then the independent RB of each target not
+   measured yet, in pair order.  It calls the public Rb.run and
+   Rb.independent, each inside a span, so the replay's raw rates must
+   equal the untraced pass bit for bit; a mismatch means Policy's loop
+   has changed and is reported as trace.replay_match 0. *)
 
 let span = Trace.with_span
-
-let append_word circuit (a, b) word =
-  List.fold_left
-    (fun c g ->
-      match g with
-      | Core.Clifford2.H 0 -> Circuit.h c a
-      | Core.Clifford2.H _ -> Circuit.h c b
-      | Core.Clifford2.S 0 -> Circuit.s c a
-      | Core.Clifford2.S _ -> Circuit.s c b
-      | Core.Clifford2.Sdg 0 -> Circuit.sdg c a
-      | Core.Clifford2.Sdg _ -> Circuit.sdg c b
-      | Core.Clifford2.Cx (0, _) -> Circuit.cnot c ~control:a ~target:b
-      | Core.Clifford2.Cx (_, _) -> Circuit.cnot c ~control:b ~target:a)
-    circuit word
-
-let sequence_circuit device rng ~m edges =
-  let all_qubits = List.concat_map (fun (a, b) -> [ a; b ]) edges in
-  let trackers = List.map (fun _ -> Core.Tableau.create 2) edges in
-  let cnots = Array.make (List.length edges) 0 in
-  let circuit = ref (Circuit.create (Device.nqubits device)) in
-  for _ = 1 to m do
-    List.iteri
-      (fun i (edge, tracker) ->
-        let word = Core.Clifford2.sample rng in
-        Core.Clifford2.apply_word tracker word;
-        cnots.(i) <- cnots.(i) + Core.Clifford2.cnot_count word;
-        circuit := append_word !circuit edge word)
-      (List.combine edges trackers);
-    circuit := Circuit.barrier !circuit all_qubits
-  done;
-  List.iteri
-    (fun i (edge, tracker) ->
-      let inv = Core.Clifford2.inverse_word tracker in
-      cnots.(i) <- cnots.(i) + Core.Clifford2.cnot_count inv;
-      circuit := append_word !circuit edge inv)
-    (List.combine edges trackers);
-  circuit := Circuit.barrier !circuit all_qubits;
-  List.iter (fun q -> circuit := Circuit.measure !circuit q) all_qubits;
-  (!circuit, cnots)
-
-let survival counts ~measured ~edge:(a, b) =
-  let index q = fst (List.find (fun (_, x) -> x = q) (List.mapi (fun i x -> (i, x)) measured)) in
-  let ia = index a and ib = index b in
-  let good, total =
-    List.fold_left
-      (fun (g, t) (bits, n) -> ((if bits.[ia] = '0' && bits.[ib] = '0' then g + n else g), t + n))
-      (0, 0) (Exec.counts_bindings counts)
-  in
-  float_of_int good /. float_of_int (max 1 total)
-
-let executions = ref 0
-
-let rb_run device ~rng ~(params : Rb.params) edges =
-  let nedges = List.length edges in
-  let samples = Array.make nedges [] in
-  let cnot_totals = Array.make nedges 0 in
-  let cliffords = ref 0 in
-  List.iter
-    (fun m ->
-      let per_edge = Array.make nedges [] in
-      for _ = 1 to params.Rb.seeds do
-        let circuit, cnots = sequence_circuit device rng ~m edges in
-        cliffords := !cliffords + m + 1;
-        Array.iteri (fun i c -> cnot_totals.(i) <- cnot_totals.(i) + c) cnots;
-        let sched = span "par_sched.schedule" (fun () -> Core.Par_sched.schedule device circuit) in
-        let counts =
-          span "exec.run" (fun () ->
-              Exec.run ~jobs device sched ~rng ~trials:params.Rb.trials ~backend:Exec.Stabilizer)
-        in
-        executions := !executions + params.Rb.trials;
-        let measured = Exec.measured_qubits circuit in
-        List.iteri (fun i edge -> per_edge.(i) <- survival counts ~measured ~edge :: per_edge.(i)) edges
-      done;
-      Array.iteri (fun i vals -> samples.(i) <- (float_of_int m, Core.Stats.mean vals) :: samples.(i)) per_edge)
-    params.Rb.lengths;
-  List.mapi
-    (fun i edge ->
-      let decay = Core.Fit.exp_decay_fixed_b ~b:0.25 (List.rev samples.(i)) in
-      let alpha = Core.Stats.clamp ~lo:0.0 ~hi:1.0 decay.Core.Fit.alpha in
-      let epc = Core.Fit.epc_of_alpha ~nqubits:2 alpha in
-      let avg = float_of_int cnot_totals.(i) /. float_of_int (max 1 !cliffords) in
-      let avg = if avg <= 0.0 then 1.5 else avg in
-      (edge, Core.Fit.cnot_error_of_epc ~cnots_per_clifford:avg epc))
-    edges
 
 (* (target, spectator, raw conditional, raw independent), in the
    order Policy.characterize records its measurements. *)
@@ -141,10 +56,7 @@ let replay device ~rng (plan : Policy.plan) =
     match Hashtbl.find_opt independent edge with
     | Some v -> v
     | None ->
-      let v =
-        span "rb.independent" (fun () ->
-            match rb_run device ~rng ~params [ edge ] with [ (_, r) ] -> r | _ -> assert false)
-      in
+      let v = span "rb.independent" (fun () -> (Rb.independent ~jobs device ~rng ~params edge).Rb.error_rate) in
       Hashtbl.replace independent edge v;
       v
   in
@@ -152,14 +64,11 @@ let replay device ~rng (plan : Policy.plan) =
     (List.mapi
        (fun k experiment ->
          let gates = List.concat_map (fun (e1, e2) -> [ e1; e2 ]) experiment in
-         let fits = span ~req:k "rb.experiment" (fun () -> rb_run device ~rng ~params gates) in
-         let rate_of e = snd (List.find (fun (g, _) -> g = e) fits) in
+         let fits = span ~req:k "rb.experiment" (fun () -> Rb.run ~jobs device ~rng ~params gates) in
+         let rate_of e = (List.find (fun f -> f.Rb.edge = e) fits).Rb.error_rate in
          List.concat_map
            (fun (e1, e2) ->
-             let record target spectator =
-               let c = rate_of target in
-               (target, spectator, c, Float.max 1e-4 (independent_of target))
-             in
+             let record target spectator = (target, spectator, rate_of target, Float.max 1e-4 (independent_of target)) in
              let r1 = record (Topology.normalize e1) (Topology.normalize e2) in
              let r2 = record (Topology.normalize e2) (Topology.normalize e1) in
              [ r1; r2 ])
@@ -230,7 +139,6 @@ let run ~seed ~seconds ~trace =
   end
   else begin
     let untraced = List.hd walls in
-    executions := 0;
     Trace.enabled := true;
     let t1 = Measure.now () in
     let replayed = replay d ~rng:(measure_rng seed) plan in
@@ -243,12 +151,16 @@ let run ~seed ~seconds ~trace =
     let exp_s = Trace.durations_of "rb.experiment" in
     Measure.set "rb.experiment_s_p50" "s" (Measure.median exp_s);
     Measure.set "rb.experiment_s_max" "s" (Measure.percentile 100.0 exp_s);
-    Measure.set "rb.independent_s" "s" (List.fold_left ( +. ) 0.0 (Trace.durations_of "rb.independent"));
-    Measure.set "rb.executions" "count" (float_of_int !executions)
-      ~note:"noisy trials executed, SRB experiments plus independent RB";
+    let ind_s = Trace.durations_of "rb.independent" in
+    let sum = List.fold_left ( +. ) 0.0 in
+    Measure.set "rb.independent_s" "s" (sum ind_s);
+    (* Every RB run executes the same number of noisy trials. *)
+    let executions = Rb.experiment_executions Rb.default_params * (List.length exp_s + List.length ind_s) in
+    Measure.set "rb.executions" "count" (float_of_int executions)
+      ~note:"noisy trials executed (lengths x seeds x trials per RB run), SRB experiments plus independent RB";
     Measure.set "rb.shots_per_s" "1/s"
-      (float_of_int !executions /. List.fold_left ( +. ) 0.0 (Trace.durations_of "exec.run"))
-      ~note:"trials per second of Exec.run time";
+      (float_of_int executions /. (sum exp_s +. sum ind_s))
+      ~note:"trials per second of Rb.run time";
     Measure.set "trace.coverage" "ratio" (Trace.coverage ~lo:t1 ~hi:t2);
     Measure.set "trace.overhead" "ratio" ((t2 -. t1) /. untraced -. 1.0)
       ~note:(Printf.sprintf "traced replay %.3f s vs untraced pass %.3f s" (t2 -. t1) untraced);

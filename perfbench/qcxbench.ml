@@ -32,7 +32,7 @@ let serve_per_layer =
       ("xtalk_sched.windows", "count"); ("xtalk_sched.clusters", "count"); ("solver.nodes", "count");
       ("dd.pad_us", "us"); ("journal.append_us_p50", "us"); ("journal.append_us_p99", "us");
       ("journal.failed_appends", "count"); ("wire.render_us", "us");
-      ("loadgen.lag_ms_p99", "ms"); ("loadgen.sent", "count"); ("loadgen.ok", "count"); ("loadgen.failed", "count");
+      ("loadgen.lag_ms_p99", "ms"); ("loadgen.latency_p99_pooled_ms", "ms"); ("loadgen.sent", "count"); ("loadgen.ok", "count"); ("loadgen.failed", "count");
       ("failed_frac", "ratio"); ("trace.coverage", "ratio"); ("trace.overhead", "ratio"); ("trace.replay_match", "bool");
     ]
 

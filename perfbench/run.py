@@ -16,7 +16,8 @@ Compare two sets of result files (for example a parent and a change):
 
 prints, per workload and end-to-end metric, each side's median and
 quartiles and whether B is worse than A by more than the metric's
-bound in BENCHMARK.json.
+bound in BENCHMARK.json.  A run that was not correct is named and left
+out, and makes compare exit non-zero like a regression does.
 """
 
 import argparse
@@ -83,19 +84,26 @@ def quartiles(values):
 
 
 def load(directory):
-    runs = {}
+    """End-to-end results per workload, and the files of runs that were not correct."""
+    runs, invalid = {}, []
     for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
         with open(path) as f:
             r = json.load(f)
-        if r.get("trace") == 0:
+        if r.get("trace") != 0:
+            continue
+        if r.get("correct") is not True:
+            invalid.append(path)
+        else:
             runs.setdefault(r["workload"], []).append(r)
-    return runs
+    return runs, invalid
 
 
 def compare(args):
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
-    a, b = load(args.a), load(args.b)
+    (a, bad_a), (b, bad_b) = load(args.a), load(args.b)
+    for path in bad_a + bad_b:
+        print(f"INVALID: {path} is not a correct run; left out of the comparison")
     fmt = "{:<14} {:<18} {:>30} {:>30} {:>8} {:>6}  {}"
     print(fmt.format("workload", "metric", "A median [q1, q3]", "B median [q1, q3]",
                      "change", "bound", "verdict"))
@@ -123,7 +131,7 @@ def compare(args):
             print(fmt.format(name, m["name"], cell.format(qa[1], qa[0], qa[2]),
                              cell.format(qb[1], qb[0], qb[2]), "{:+.1%}".format(change),
                              "{:.0%}".format(m["bound"]), verdict))
-    return 1 if worse else 0
+    return 1 if worse or bad_a or bad_b else 0
 
 
 def main():
