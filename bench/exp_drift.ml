@@ -282,7 +282,19 @@ let run_campaign ~days ~seed ~jobs ~dir =
       :: st.timeline
   done;
   (* the health op must surface staleness + warnings (DESIGN 12) *)
-  let health = op (Wire.Health { id = "h-final" }) in
+  (* Minus the per-op-class latency percentiles: they are wall clock,
+     and the report is digested across --jobs. *)
+  let health =
+    match op (Wire.Health { id = "h-final" }) with
+    | Json.Object fields ->
+      Json.Object
+        (List.map
+           (function
+             | "health", Json.Object h -> ("health", Json.Object (List.remove_assoc "latency" h))
+             | field -> field)
+           fields)
+    | other -> other
+  in
   let status = op (Wire.Epoch_status { id = "es-final"; device = Some dev_id }) in
   let availability = float_of_int st.compile_ok /. float_of_int (max 1 st.compiles) in
   Json.Object

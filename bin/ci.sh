@@ -4,8 +4,9 @@
 # (fails on any compile loss or ingested corruption), a compile
 # request served through the qcx_serve --once NDJSON path, a chaos
 # crash-recovery drill (kill -9 the daemon mid-load, restart, require
-# the write-ahead journal to hand back every recorded schedule bit
-# for bit, then drain cleanly on SIGTERM), the seeded 20-run chaos
+# the snapshot + write-ahead journal to hand back every recorded
+# schedule bit for bit, with entries read from the snapshot, then
+# drain cleanly on SIGTERM), the seeded 20-run chaos
 # campaign (BENCH_chaos.json), a scheduler-core smoke benchmark
 # that fails if the fast engine loses its node-count edge over the
 # legacy engine or any schedule differs between --jobs 1 and 4, and
@@ -80,12 +81,19 @@ kill -9 "$DAEMON"
 wait "$DAEMON" 2>/dev/null || true
 wait "$LOADER" 2>/dev/null || true
 
-echo "ci: chaos drill: restart; journal replay must restore the cache"
+echo "ci: chaos drill: restart; snapshot + journal replay must restore the cache"
 "$SERVE" --devices example6q --oracle-xtalk --socket "$SOCK" \
-  --cache-file "$CACHE" --checkpoint-every 4 --jobs 2 &
+  --cache-file "$CACHE" --checkpoint-every 4 --jobs 2 2> "$SCRATCH/restart.err" &
 DAEMON=$!
 "$BENCH" --chaos-client --socket "$SOCK" --mode verify \
   --file "$SCRATCH/expected.json" --requests 24 --min-cached 24
+# The restart must have read entries from the snapshot file itself,
+# not only replayed the journal.
+if ! grep -Eq 'cache: restored [1-9][0-9]* snapshot' "$SCRATCH/restart.err"; then
+  echo "ci: chaos drill: the restart restored no snapshot entries:" >&2
+  cat "$SCRATCH/restart.err" >&2
+  exit 1
+fi
 
 echo "ci: chaos drill: graceful drain (SIGTERM must exit 0)"
 kill -TERM "$DAEMON"

@@ -72,9 +72,9 @@ let cache_dir_term =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-(* Compile through the serving layer's persisted cache: warm-start
-   from DIR/schedule-cache.json, serve or solve, persist back, and
-   report the cache/registry counters. *)
+(* Compile through the serving layer's persisted cache: recover
+   DIR/schedule-cache.json and its journal, serve or solve, checkpoint,
+   and report the cache/registry counters. *)
 let compile_cached ~dir device ~xtalk ~omega ~deadline ~ladder_start ~window ~mitigation
     circuit =
   let registry = Core.Registry.create () in
@@ -83,11 +83,17 @@ let compile_cached ~dir device ~xtalk ~omega ~deadline ~ladder_start ~window ~mi
   let service = Core.Service.create registry in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let cache_path = Filename.concat dir "schedule-cache.json" in
-  if Sys.file_exists cache_path then begin
-    match Core.Service.load_cache service ~path:cache_path with
-    | Ok n -> Printf.printf "cache: warm-started %d entries from %s\n" n cache_path
-    | Error e -> Printf.printf "cache: ignoring damaged %s: %s\n" cache_path e
-  end;
+  let existed = Sys.file_exists cache_path in
+  (match Core.Service.recover service ~cache_file:cache_path () with
+  | Ok r ->
+    if existed then
+      Printf.printf "cache: warm-started %d entries from %s\n"
+        (r.Core.Service.snapshot_entries + r.Core.Service.journal_entries)
+        cache_path;
+    if r.Core.Service.snapshot_dropped > 0 then
+      Printf.printf "cache: dropped %d damaged line(s) of %s\n" r.Core.Service.snapshot_dropped
+        cache_path
+  | Error e -> Printf.printf "cache: not persisting to %s: %s\n" cache_path e);
   let params =
     let base =
       { Core.Wire.default_params with Core.Wire.omega; deadline; window; mitigation }
@@ -101,7 +107,7 @@ let compile_cached ~dir device ~xtalk ~omega ~deadline ~ladder_start ~window ~mi
     Printf.eprintf "compile failed: %s\n" e;
     exit 1
   | Ok o ->
-    (match Core.Service.save_cache service ~path:cache_path with
+    (match Core.Service.checkpoint service with
     | Ok () -> ()
     | Error e -> Printf.eprintf "cache: failed to persist %s: %s\n" cache_path e);
     let c = Core.Cache.counters (Core.Service.cache service) in

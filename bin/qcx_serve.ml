@@ -165,18 +165,15 @@ let lookup_device name =
   | n -> Core.Presets.by_name n
 
 let persist service cache_file =
-  match cache_file with
-  | None -> ()
-  | Some path -> (
-    match Core.Service.persistence_journal service with
-    | Some _ -> (
-      match Core.Service.checkpoint service with
-      | Ok () -> Printf.eprintf "cache: checkpointed to %s\n%!" path
-      | Error e -> Printf.eprintf "cache: checkpoint failed: %s\n%!" e)
-    | None -> (
-      match Core.Service.save_cache service ~path with
-      | Ok () -> Printf.eprintf "cache: persisted to %s\n%!" path
-      | Error e -> Printf.eprintf "cache: failed to persist %s: %s\n%!" path e))
+  match (cache_file, Core.Service.persistence_journal service) with
+  | Some path, Some _ -> (
+    match Core.Service.checkpoint service with
+    | Ok () -> Printf.eprintf "cache: checkpointed to %s\n%!" path
+    | Error e -> Printf.eprintf "cache: checkpoint failed: %s\n%!" e)
+  | _ -> ()
+
+let damaged_snapshot dropped =
+  if dropped > 0 then Printf.sprintf " (damaged snapshot; %d line(s) dropped)" dropped else ""
 
 let run devices_csv socket once snapshot_dir oracle calibration_dir calibration_seed jobs
     queue_bound cache_capacity cache_file max_frame max_compile breaker_threshold
@@ -306,8 +303,9 @@ let run devices_csv socket once snapshot_dir oracle calibration_dir calibration_
     | Ok sh -> (
       let b = Core.Shard.boot sh in
       Printf.eprintf
-        "shard %d/%d: restored %d snapshot + %d journal entries%s%s; replicating to %s\n%!" k
-        shards b.Core.Shard.snapshot_entries b.Core.Shard.journal_entries
+        "shard %d/%d: restored %d snapshot + %d journal entries%s%s%s; replicating to %s\n%!"
+        k shards b.Core.Shard.snapshot_entries b.Core.Shard.journal_entries
+        (damaged_snapshot b.Core.Shard.snapshot_dropped)
         (if b.Core.Shard.rebuilt_from_replica > 0 then
            Printf.sprintf " (rebuilt %d entries from peer replica%s)"
              b.Core.Shard.rebuilt_from_replica
@@ -431,8 +429,9 @@ let run devices_csv socket once snapshot_dir oracle calibration_dir calibration_
       | Some path -> (
         match Core.Service.recover service ~cache_file:path () with
         | Ok r ->
-          Printf.eprintf "cache: restored %d snapshot + %d journal entries%s\n%!"
+          Printf.eprintf "cache: restored %d snapshot + %d journal entries%s%s\n%!"
             r.Core.Service.snapshot_entries r.Core.Service.journal_entries
+            (damaged_snapshot r.Core.Service.snapshot_dropped)
             (if r.Core.Service.torn then
                Printf.sprintf " (torn journal tail; %d record(s) dropped)"
                  r.Core.Service.journal_dropped

@@ -265,21 +265,21 @@ let fsync_dir dir =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let save ~path doc =
+let write_atomic ~path write =
   (* Write-then-fsync-then-rename: a writer that dies mid-write leaves
-     only a stale [.tmp], never a truncated snapshot at [path] for a
-     reader (or the server's registry) to quarantine; fsyncing the
-     file before and the directory after the rename makes the commit
-     survive an OS crash, not just a process crash. *)
+     only a stale [.tmp], never a truncated file at [path] for a reader
+     (or the server's registry) to quarantine; fsyncing the file before
+     and the directory after the rename makes the commit survive an OS
+     crash, not just a process crash. *)
   let tmp = path ^ ".tmp" in
+  let discard_tmp () = try if Sys.file_exists tmp then Sys.remove tmp with Sys_error _ -> () in
   try
     let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     let oc = Unix.out_channel_of_descr fd in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        output_string oc (Json.to_string (envelope doc));
-        output_char oc '\n';
+        write oc;
         flush oc;
         try Unix.fsync fd with Unix.Unix_error _ -> ());
     Sys.rename tmp path;
@@ -287,11 +287,16 @@ let save ~path doc =
     Ok ()
   with
   | Sys_error msg ->
-    (try if Sys.file_exists tmp then Sys.remove tmp with Sys_error _ -> ());
+    discard_tmp ();
     Error msg
   | Unix.Unix_error (err, fn, _) ->
-    (try if Sys.file_exists tmp then Sys.remove tmp with Sys_error _ -> ());
+    discard_tmp ();
     Error (Printf.sprintf "%s: %s" fn (Unix.error_message err))
+
+let save ~path doc =
+  write_atomic ~path (fun oc ->
+      output_string oc (Json.to_string (envelope doc));
+      output_char oc '\n')
 
 let load ~path =
   try

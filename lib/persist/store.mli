@@ -35,21 +35,24 @@ val device_snapshot_to_json : Qcx_device.Device.t -> Json.t
 val device_snapshot_of_json :
   Json.t -> (string * Qcx_device.Topology.t * Qcx_device.Calibration.t, string) result
 
-val save : path:string -> Json.t -> (unit, string) result
-(** Wraps the document in the v2 envelope: a [format] version tag and
-    an MD5 checksum of the canonical payload serialization.  The write
-    is atomic AND durable — the document lands in [path ^ ".tmp"]
-    first, is fsync'd, renamed into place, and then the parent
+val write_atomic : path:string -> (out_channel -> unit) -> (unit, string) result
+(** Atomic AND durable file write: the writer fills [path ^ ".tmp"],
+    which is fsync'd, renamed into place, and then the parent
     directory is fsync'd so an OS crash cannot lose the rename itself.
-    A crashed writer can never leave a truncated snapshot at [path].
-    Every rename-commit in the system (cache snapshots, journal
-    checkpoints, the calibrator's ring-pointer promotion) routes
-    through here. *)
+    A crashed writer can never leave a truncated file at [path].
+    Every rename-commit in the system (store documents, cache
+    snapshots, the calibrator's ring-pointer promotion) routes through
+    here. *)
+
+val save : path:string -> Json.t -> (unit, string) result
+(** Wraps the document in the v2 envelope — a [format] version tag and
+    an MD5 checksum of the canonical payload serialization — and
+    writes it with {!write_atomic}. *)
 
 val fsync_dir : string -> unit
 (** Fsync a directory's metadata (best effort; errors are swallowed) —
-    the other half of a durable rename.  {!save} calls it on the
-    parent directory after every rename. *)
+    the other half of a durable rename.  {!write_atomic} calls it on
+    the parent directory after every rename. *)
 
 val load : path:string -> (Json.t, string) result
 (** Unwraps and verifies the envelope, returning the payload.  A

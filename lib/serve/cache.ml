@@ -1,5 +1,4 @@
 module Json = Qcx_persist.Json
-module Store = Qcx_persist.Store
 
 let ( let* ) = Result.bind
 
@@ -13,6 +12,7 @@ type entry = {
 type node = {
   key : string;
   mutable entry : entry;
+  mutable line : string option;  (* the entry's snapshot bytes, when persisted *)
   mutable prev : node option;  (* toward head *)
   mutable next : node option;  (* toward tail *)
 }
@@ -86,14 +86,15 @@ let evict_lru t =
     Hashtbl.remove t.table node.key;
     t.evictions <- t.evictions + 1
 
-let add t key entry =
+let add ?line t key entry =
   (match Hashtbl.find_opt t.table key with
   | Some node ->
     node.entry <- entry;
+    node.line <- line;
     unlink t node;
     push_front t node
   | None ->
-    let node = { key; entry; prev = None; next = None } in
+    let node = { key; entry; line; prev = None; next = None } in
     Hashtbl.replace t.table key node;
     push_front t node;
     t.insertions <- t.insertions + 1);
@@ -131,17 +132,25 @@ let keys_newest_first t =
   in
   walk [] t.head
 
-(* ---- persistence ---- *)
+let lines_oldest_first t ~render =
+  let rec walk acc = function
+    | None -> acc
+    | Some node ->
+      let line = match node.line with Some l -> l | None -> render node.key node.entry in
+      walk (line :: acc) node.next
+  in
+  walk [] t.head
 
-let format_tag = "qcx-schedule-cache-v1"
+(* ---- entry codec ---- *)
 
-let entry_to_json entry =
-  Json.Object
-    [
-      ("epoch", Json.String entry.epoch);
-      ("stats", Wire.stats_to_json entry.stats);
-      ("schedule", Wire.schedule_to_json entry.schedule);
-    ]
+let entry_fields entry =
+  [
+    ("epoch", Json.String entry.epoch);
+    ("stats", Wire.stats_to_json entry.stats);
+    ("schedule", Wire.schedule_to_json entry.schedule);
+  ]
+
+let entry_to_json entry = Json.Object (entry_fields entry)
 
 let entry_of_json doc =
   let* stats =
@@ -160,49 +169,3 @@ let entry_of_json doc =
     match Json.member "epoch" doc with Some (Json.String e) -> e | _ -> ""
   in
   Ok { schedule; stats; epoch }
-
-let to_json t =
-  (* Oldest first, so replaying [add] on load reproduces recency. *)
-  let rec oldest acc = function
-    | None -> acc
-    | Some node -> oldest (node :: acc) node.next
-  in
-  let entries =
-    List.map
-      (fun node ->
-        match entry_to_json node.entry with
-        | Json.Object fields -> Json.Object (("key", Json.String node.key) :: fields)
-        | other -> other)
-      (oldest [] t.head)
-  in
-  Json.Object [ ("format", Json.String format_tag); ("entries", Json.Array entries) ]
-
-let of_json ~capacity doc =
-  let* fmt = Json.find_str "format" doc in
-  if fmt <> format_tag then Error ("unknown format " ^ fmt)
-  else
-    let* entry_docs = Json.find_list "entries" doc in
-    let t = create ~capacity in
-    let* () =
-      List.fold_left
-        (fun acc edoc ->
-          let* () = acc in
-          let* key = Json.find_str "key" edoc in
-          let* entry = entry_of_json edoc in
-          add t key entry;
-          Ok ())
-        (Ok ()) entry_docs
-    in
-    (* Loading is not serving: forget the replay's counter noise. *)
-    t.hits <- 0;
-    t.misses <- 0;
-    t.evictions <- 0;
-    t.insertions <- 0;
-    t.purged <- 0;
-    Ok t
-
-let save ~path t = Store.save ~path (to_json t)
-
-let load ~capacity ~path =
-  let* doc = Store.load ~path in
-  of_json ~capacity doc

@@ -7,12 +7,11 @@
     serves the exact value a cold compile produced — bit-identical by
     construction.
 
-    Hit/miss/eviction counters are monotonic over the cache lifetime
-    (a warm start does not reset them to the persisted run's values).
-    Entries survive restarts through {!save}/{!load}, which round-trip
-    through the checksummed {!Qcx_persist.Store} envelope; a damaged
-    warm-start file is an [Error], never a crash or a poisoned
-    cache. *)
+    Hit/miss/eviction counters are monotonic over the cache lifetime.
+    Persistence lives a layer up: with a journal attached, each entry
+    carries the self-checksummed {!Journal} line it was written as,
+    and a checkpoint writes those lines back out ({!lines_oldest_first})
+    instead of re-serializing the cache. *)
 
 type entry = {
   schedule : Qcx_circuit.Schedule.t;
@@ -45,9 +44,12 @@ val find : t -> string -> entry option
 val mem : t -> string -> bool
 (** Presence test with no recency bump and no counter update. *)
 
-val add : t -> string -> entry -> unit
+val add : ?line:string -> t -> string -> entry -> unit
 (** Insert (or overwrite) and mark most-recently-used, evicting the
-    least-recently-used entries beyond capacity. *)
+    least-recently-used entries beyond capacity.  [line] is the entry's
+    snapshot bytes — its journal line — retained for
+    {!lines_oldest_first}; an overwrite without one drops the old
+    bytes. *)
 
 val purge : t -> drop:(string -> entry -> bool) -> int
 (** Remove every entry for which [drop key entry] holds, without
@@ -62,21 +64,19 @@ val counters : t -> counters
 val keys_newest_first : t -> string list
 (** Recency order, most recent first — exposed for eviction tests. *)
 
+val lines_oldest_first : t -> render:(string -> entry -> string) -> string list
+(** The snapshot: every live entry's retained line, least recent
+    first, so replaying them through {!add} reproduces recency.
+    Entries added without a line are rendered with [render key entry]
+    (nothing is retained). *)
+
+val entry_fields : entry -> (string * Qcx_persist.Json.t) list
+(** The [epoch], [stats] and [schedule] fields an entry contributes to
+    its journal line, in emission order. *)
+
 val entry_to_json : entry -> Qcx_persist.Json.t
-(** [{"stats": ..., "schedule": ...}] — the same per-entry shape the
-    cache snapshot uses, shared with the write-ahead {!Journal}. *)
+(** [Object (entry_fields entry)]. *)
 
 val entry_of_json : Qcx_persist.Json.t -> (entry, string) result
 (** Accepts any object carrying [stats] and [schedule] fields (extra
     fields are ignored, so journal records parse too). *)
-
-val to_json : t -> Qcx_persist.Json.t
-
-val of_json : capacity:int -> Qcx_persist.Json.t -> (t, string) result
-(** Restore entries (recency preserved, counters zeroed).  Entries
-    beyond [capacity] are evicted oldest-first on load. *)
-
-val save : path:string -> t -> (unit, string) result
-(** Atomic write through the v2 store envelope. *)
-
-val load : capacity:int -> path:string -> (t, string) result

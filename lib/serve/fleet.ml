@@ -1,4 +1,3 @@
-module Json = Qcx_persist.Json
 module Device = Qcx_device.Device
 
 (* In-process fleet: N shards + a router over a direct (function call)
@@ -73,29 +72,16 @@ let alive t = Array.fold_left (fun n s -> if s = None then n else n + 1) 0 t.sha
 
 let handle_lines t lines = Router.handle_lines t.router lines
 
-(* Canonical cache state for bit-identity comparison: the snapshot
-   entries sorted by cache key.  Sorting removes the one degree of
-   freedom that is NOT replicated — LRU recency reordering on hits —
-   so two caches holding the same entries compare equal regardless of
-   their hit histories.  (Content-set equality holds as long as the
-   cache never evicted; the fleet bench sizes capacity above its
-   unique-key count.) *)
+(* Canonical cache state for bit-identity comparison: the entries'
+   snapshot lines sorted (each line leads with its cache key).  Sorting
+   removes the one degree of freedom that is NOT replicated — LRU
+   recency reordering on hits — so two caches holding the same entries
+   compare equal regardless of their hit histories.  (Content-set
+   equality holds as long as the cache never evicted; the fleet bench
+   sizes capacity above its unique-key count.) *)
 let canonical_of_cache cache =
-  match Cache.to_json cache with
-  | Json.Object fields as whole -> (
-    match List.assoc_opt "entries" fields with
-    | Some (Json.Array entries) ->
-      let key_of = function
-        | Json.Object fs -> (
-          match List.assoc_opt "key" fs with Some (Json.String k) -> k | _ -> "")
-        | _ -> ""
-      in
-      let sorted =
-        List.sort (fun a b -> compare (key_of a) (key_of b)) entries
-      in
-      Json.to_string ~indent:false (Json.Array sorted)
-    | _ -> Json.to_string ~indent:false whole)
-  | other -> Json.to_string ~indent:false other
+  Cache.lines_oldest_first cache ~render:(fun key entry -> Journal.line_of_record { Journal.key; entry })
+  |> List.sort compare |> String.concat "\n"
 
 let canonical_state t ~shard =
   match t.shards.(shard) with
@@ -106,15 +92,10 @@ let canonical_state t ~shard =
    snapshot + journal valid-prefix replay.  Computed from disk, so it
    is the ground truth a peer rebuild must reproduce. *)
 let replayed_state t ~shard =
-  let capacity = t.service_config.Service.cache_capacity in
+  let cache = Cache.create ~capacity:t.service_config.Service.cache_capacity in
   let cfile = Shard.cache_file ~root:t.root shard in
-  let cache =
-    match Cache.load ~capacity ~path:cfile with
-    | Ok c -> c
-    | Error _ -> Cache.create ~capacity
-  in
-  let rep = Journal.replay ~path:(cfile ^ ".journal") in
-  List.iter (fun { Journal.key; entry } -> Cache.add cache key entry) rep.Journal.records;
+  ignore (Journal.restore cache ~path:cfile);
+  ignore (Journal.restore cache ~path:(cfile ^ ".journal"));
   canonical_of_cache cache
 
 let kill t ~shard =

@@ -38,9 +38,9 @@ val handle_lines : t -> string list -> string list * bool
     client talking to the router socket). *)
 
 val canonical_state : t -> shard:int -> (string, string) result
-(** The shard's cache as a canonical string: snapshot entries sorted
-    by cache key, so LRU recency (which is deliberately not
-    replicated) cannot make equal contents compare unequal. *)
+(** The shard's cache as a canonical string: its entries' snapshot
+    lines sorted by cache key, so LRU recency (which is deliberately
+    not replicated) cannot make equal contents compare unequal. *)
 
 val canonical_of_cache : Cache.t -> string
 

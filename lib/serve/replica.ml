@@ -23,53 +23,27 @@ type fault = Partition | Slow_ack of float
 
 (* ---- line codec ---- *)
 
-let payload_json ~shard ~seq (r : Journal.record) =
-  match Cache.entry_to_json r.Journal.entry with
-  | Json.Object fields ->
-    Json.Object
-      (("op", Json.String "rep")
-      :: ("shard", Json.Number (float_of_int shard))
-      :: ("seq", Json.Number (float_of_int seq))
-      :: ("key", Json.String r.Journal.key)
-      :: fields)
-  | other -> other
-
-let payload_digest payload = Digest.to_hex (Digest.string (Json.to_string ~indent:false payload))
-
-let line_of_record ~shard ~seq record =
-  let payload = payload_json ~shard ~seq record in
-  let crc = payload_digest payload in
-  let doc =
-    match payload with
-    | Json.Object fields -> Json.Object (fields @ [ ("crc", Json.String crc) ])
-    | other -> other
-  in
-  Json.to_string ~indent:false doc
+let line_of_record ~shard ~seq (r : Journal.record) =
+  Journal.seal
+    (("op", Json.String "rep")
+    :: ("shard", Json.Number (float_of_int shard))
+    :: ("seq", Json.Number (float_of_int seq))
+    :: ("key", Json.String r.Journal.key)
+    :: Cache.entry_fields r.Journal.entry)
 
 let record_of_line line =
-  let* doc = Json.of_string line in
+  let* doc = Journal.unseal line in
   let* op = Json.find_str "op" doc in
   if op <> "rep" then Error ("unknown replica op " ^ op)
   else
-    let* shard =
-      match Json.member "shard" doc with Some v -> Json.to_int v | None -> Error "missing shard"
+    let int_field name =
+      match Json.member name doc with Some v -> Json.to_int v | None -> Error ("missing " ^ name)
     in
-    let* seq =
-      match Json.member "seq" doc with Some v -> Json.to_int v | None -> Error "missing seq"
-    in
-    let* crc = Json.find_str "crc" doc in
+    let* shard = int_field "shard" in
+    let* seq = int_field "seq" in
     let* key = Json.find_str "key" doc in
     let* entry = Cache.entry_of_json doc in
-    (* Digest over the bytes as written (see Journal.record_of_line for
-       why a parse/re-emit round trip would canonicalize damage). *)
-    let suffix = ",\"crc\": \"" ^ crc ^ "\"}" in
-    let n = String.length line and k = String.length suffix in
-    if n < k || String.sub line (n - k) k <> suffix then Error "replica crc field malformed"
-    else
-      let payload_text = String.sub line 0 (n - k) ^ "}" in
-      if String.lowercase_ascii crc = Digest.to_hex (Digest.string payload_text) then
-        Ok (shard, seq, { Journal.key; entry })
-      else Error "replica crc mismatch"
+    Ok (shard, seq, { Journal.key; entry })
 
 (* ---- replay ---- *)
 
@@ -82,40 +56,29 @@ type replay = {
 }
 
 let replay ~path ~shard =
-  if not (Sys.file_exists path) then
-    { records = []; read = 0; dropped = 0; torn = false; valid_bytes = 0 }
-  else begin
-    let text =
-      try
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with _ -> ""
-    in
-    let lines = String.split_on_char '\n' text in
-    (* Valid-prefix semantics, like the journal, with two extra checks:
-       the shard tag must match and sequence numbers must be strictly
-       increasing — a spliced or reordered file stops the replay at
-       the first inconsistent line. *)
-    let rec walk acc read bytes last_seq = function
-      | [] | [ "" ] -> { records = List.rev acc; read; dropped = 0; torn = false; valid_bytes = bytes }
-      | line :: rest -> (
-        let checked =
-          let* s, seq, r = record_of_line line in
-          if s <> shard then Error "replica shard tag mismatch"
-          else if seq <= last_seq then Error "replica sequence regressed"
-          else Ok (seq, r)
-        in
-        match checked with
-        | Ok (seq, r) ->
-          walk ((seq, r) :: acc) (read + 1) (bytes + String.length line + 1) seq rest
-        | Error _ ->
-          let remaining = List.length (List.filter (fun l -> l <> "") (line :: rest)) in
-          { records = List.rev acc; read; dropped = remaining; torn = true; valid_bytes = bytes })
-    in
-    walk [] 0 0 (-1) lines
-  end
+  (* Valid-prefix semantics, like the journal, with two extra checks:
+     the shard tag must match and sequence numbers must be strictly
+     increasing — a spliced or reordered file stops the replay at the
+     first inconsistent line. *)
+  let last_seq = ref (-1) in
+  let p =
+    Journal.read_prefix ~path (fun line ->
+        let* s, seq, r = record_of_line line in
+        if s <> shard then Error "replica shard tag mismatch"
+        else if seq <= !last_seq then Error "replica sequence regressed"
+        else begin
+          last_seq := seq;
+          Ok (seq, r)
+        end)
+  in
+  let records = p.Journal.items in
+  {
+    records;
+    read = List.length records;
+    dropped = p.Journal.dropped;
+    torn = p.Journal.torn;
+    valid_bytes = p.Journal.valid_bytes;
+  }
 
 (* ---- sender ---- *)
 

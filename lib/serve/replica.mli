@@ -77,7 +77,8 @@ val replay : path:string -> shard:int -> replay
     sequence number.  A missing file is an empty replay. *)
 
 val line_of_record : shard:int -> seq:int -> Journal.record -> string
-(** The encoded line (exposed for tests). *)
+(** The encoded line: {!Journal.seal} over the journal record's fields
+    behind an [op]/[shard]/[seq] header (exposed for tests). *)
 
 val record_of_line : string -> (int * int * Journal.record, string) result
 (** Parse + verify one line, returning (shard, seq, record). *)

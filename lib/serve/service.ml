@@ -40,6 +40,7 @@ type t = {
   mutable persistence : persistence option;
   mutable since_checkpoint : int;
   mutable checkpoints : int;
+  mutable checkpoint_failures : int;
   mutable draining : bool;
   mutable panics : int;
   mutable ok : int;
@@ -133,6 +134,7 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) registry =
     persistence = None;
     since_checkpoint = 0;
     checkpoints = 0;
+    checkpoint_failures = 0;
     draining = false;
     panics = 0;
     ok = 0;
@@ -296,31 +298,32 @@ let tally_cold t (stats : Xtalk_sched.stats) =
 
 (* ---- persistence: snapshot + write-ahead journal ---- *)
 
-let save_cache t ~path = Cache.save ~path t.cache
-
-let load_cache_into t loaded =
-  let keys = List.rev (Cache.keys_newest_first loaded) in
-  List.iter
-    (fun key ->
-      match Cache.find loaded key with
-      | Some entry -> Cache.add t.cache key entry
-      | None -> ())
-    keys;
-  List.length keys
-
-let load_cache t ~path =
-  match Cache.load ~capacity:t.config.cache_capacity ~path with
-  | Error e -> Error e
-  | Ok loaded -> Ok (load_cache_into t loaded)
-
+(* A checkpoint writes the live entries' retained journal lines, least
+   recent first, as the new snapshot — no document is built.  The
+   period restarts whether or not the write succeeds: a snapshot that
+   fails (say, ENOSPC on the big file while small appends still fit)
+   is retried a full period later, not on every following insert. *)
 let checkpoint t =
   match t.persistence with
   | None -> Ok ()
   | Some p -> (
-    match Cache.save ~path:p.cache_file t.cache with
-    | Error e -> Error ("checkpoint failed: " ^ e)
+    let lines =
+      Cache.lines_oldest_first t.cache ~render:(fun key entry ->
+          Journal.line_of_record { Journal.key; entry })
+    in
+    t.since_checkpoint <- 0;
+    let write oc =
+      List.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        lines
+    in
+    match Qcx_persist.Store.write_atomic ~path:p.cache_file write with
+    | Error e ->
+      t.checkpoint_failures <- t.checkpoint_failures + 1;
+      Error ("checkpoint failed: " ^ e)
     | Ok () ->
-      t.since_checkpoint <- 0;
       t.checkpoints <- t.checkpoints + 1;
       Journal.reset p.journal)
 
@@ -339,11 +342,14 @@ let cache_insert t key entry =
   match t.persistence with
   | None -> Cache.add t.cache key entry
   | Some p ->
-    let appended = Journal.append p.journal { Journal.key; entry } in
+    (* The journal line is also the entry's snapshot bytes: rendered
+       once here, written out again by every checkpoint it survives. *)
+    let line = Journal.line_of_record { Journal.key; entry } in
+    let appended = Journal.append_line p.journal line in
     (* Insert before any checkpoint: a checkpoint triggered by this
        very append must snapshot a cache that already holds the entry,
        or resetting the journal would orphan it. *)
-    Cache.add t.cache key entry;
+    Cache.add ~line t.cache key entry;
     (match appended with
     | Error _ -> ()
     | Ok () ->
@@ -364,19 +370,19 @@ let persistence_journal t = Option.map (fun p -> p.journal) t.persistence
 
 type recovery = {
   snapshot_entries : int;
+  snapshot_dropped : int;
+  snapshot_torn : bool;
   journal_entries : int;
   journal_dropped : int;
   torn : bool;
 }
 
 let recover t ~cache_file ?(fsync = true) () =
-  let snapshot_entries =
-    match Cache.load ~capacity:t.config.cache_capacity ~path:cache_file with
-    | Error _ -> 0 (* missing or damaged snapshot: start from the journal alone *)
-    | Ok loaded -> load_cache_into t loaded
-  in
-  let replay = Journal.replay ~path:(journal_path ~cache_file) in
-  List.iter (fun { Journal.key; entry } -> Cache.add t.cache key entry) replay.Journal.records;
+  (* Snapshot and journal are one format: the snapshot's valid prefix
+     first (a missing file is empty; a damaged line, or a whole-document
+     snapshot from older builds, ends it), then the journal's on top. *)
+  let snapshot = Journal.restore t.cache ~path:cache_file in
+  let replay = Journal.restore t.cache ~path:(journal_path ~cache_file) in
   match enable_persistence t ~cache_file ~fsync () with
   | Error e -> Error e
   | Ok () -> (
@@ -388,7 +394,9 @@ let recover t ~cache_file ?(fsync = true) () =
     | Ok () ->
       Ok
         {
-          snapshot_entries;
+          snapshot_entries = snapshot.Journal.read;
+          snapshot_dropped = snapshot.Journal.dropped;
+          snapshot_torn = snapshot.Journal.torn;
           journal_entries = replay.Journal.read;
           journal_dropped = replay.Journal.dropped;
           torn = replay.Journal.torn;
@@ -516,6 +524,7 @@ let journal_json t =
         ("failed_appends", Json.Number (float_of_int (Journal.failed_appends p.journal)));
         ("since_checkpoint", Json.Number (float_of_int t.since_checkpoint));
         ("checkpoints", Json.Number (float_of_int t.checkpoints));
+        ("checkpoint_failures", Json.Number (float_of_int t.checkpoint_failures));
       ]
 
 let stats_json t =

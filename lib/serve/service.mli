@@ -178,33 +178,41 @@ val purge_stale : t -> int
 
 (* ---- persistence: snapshot + write-ahead journal ---- *)
 
-val save_cache : t -> path:string -> (unit, string) result
-val load_cache : t -> path:string -> (int, string) result
-(** Warm-start the cache from a snapshot (no journaling); returns the
-    number of restored entries. *)
-
 val enable_persistence : t -> cache_file:string -> ?fsync:bool -> unit -> (unit, string) result
 (** Open the write-ahead journal at [cache_file ^ ".journal"]; from
-    here on every cache insertion is journaled, and every
-    [checkpoint_every] appends the snapshot is rewritten and the
-    journal truncated. *)
+    here on every cache insertion is journaled (its line retained as
+    the entry's snapshot bytes), and every [checkpoint_every] appends
+    the snapshot is rewritten and the journal truncated. *)
 
 val persistence_journal : t -> Journal.t option
 (** The live journal (chaos tests attach fault hooks to it). *)
 
 val checkpoint : t -> (unit, string) result
-(** Snapshot the cache to [cache_file] and truncate the journal.  A
-    no-op [Ok] when persistence is off. *)
+(** Write the snapshot and truncate the journal.  The snapshot is the
+    journal's own format: each live entry's {!Journal} line, least
+    recent first, written to [cache_file ^ ".tmp"], fsync'd, renamed
+    over [cache_file] (parent directory fsync'd).  A failure leaves
+    the previous snapshot and the journal intact, counts in the
+    [checkpoint_failures] field of the stats' [journal] block, and —
+    like a success — restarts the [checkpoint_every] period.  A no-op
+    [Ok] when persistence is off. *)
 
 type recovery = {
-  snapshot_entries : int;  (** restored from the snapshot file *)
+  snapshot_entries : int;  (** lines restored from the snapshot's valid prefix *)
+  snapshot_dropped : int;  (** snapshot lines abandoned after a damaged one *)
+  snapshot_torn : bool;  (** the snapshot had a damaged line *)
   journal_entries : int;  (** replayed from the journal's valid prefix *)
   journal_dropped : int;  (** lines abandoned after a torn/damaged one *)
   torn : bool;  (** the journal had a torn tail *)
 }
 
 val recover : t -> cache_file:string -> ?fsync:bool -> unit -> (recovery, string) result
-(** Crash-consistent warm start: load the snapshot (missing/damaged →
-    empty), replay the journal's valid prefix on top, enable
-    persistence, and checkpoint immediately — compacting the replay
-    and truncating any torn tail so it cannot poison later appends. *)
+(** Crash-consistent warm start: restore the snapshot's longest valid
+    prefix (a missing file is empty; a damaged line ends the prefix
+    and is reported in [snapshot_dropped]), replay the journal's valid
+    prefix on top with the same reader, enable persistence, and
+    checkpoint immediately — compacting the replay and truncating any
+    torn tail so it cannot poison later appends.  A whole-document
+    snapshot written by older builds ([qcx-schedule-cache-v1]) reads
+    as damaged at its first line: its entries are dropped and
+    recompiled on demand. *)

@@ -19,6 +19,7 @@ module Json = Qcx_persist.Json
 
 type boot = {
   snapshot_entries : int;
+  snapshot_dropped : int;
   journal_entries : int;
   journal_dropped : int;
   torn_journal : bool;
@@ -82,7 +83,9 @@ let create ?(config = Service.default_config) ?clock ?(fsync = true) ?(replica_b
            makes the rebuild locally durable before rejoining. *)
         let rep = Replica.replay ~path:rpath ~shard:index in
         List.iter
-          (fun (_seq, { Journal.key; entry }) -> Cache.add (Service.cache service) key entry)
+          (fun (_seq, r) ->
+            Cache.add ~line:(Journal.line_of_record r) (Service.cache service) r.Journal.key
+              r.Journal.entry)
           rep.Replica.records;
         if rep.Replica.records <> [] then ignore (Service.checkpoint service);
         (rep.Replica.read, rep.Replica.torn)
@@ -95,6 +98,7 @@ let create ?(config = Service.default_config) ?clock ?(fsync = true) ?(replica_b
       let boot =
         {
           snapshot_entries = r.Service.snapshot_entries;
+          snapshot_dropped = r.Service.snapshot_dropped;
           journal_entries = r.Service.journal_entries;
           journal_dropped = r.Service.journal_dropped;
           torn_journal = r.Service.torn;

@@ -14,6 +14,7 @@
 
 type boot = {
   snapshot_entries : int;
+  snapshot_dropped : int;  (** snapshot lines abandoned after a damaged one *)
   journal_entries : int;
   journal_dropped : int;
   torn_journal : bool;

@@ -531,6 +531,162 @@ let socket_drain () =
       Alcotest.(check bool) "accept loop drained cleanly" true clean;
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists path))
 
+(* ---- journal: a failed checkpoint waits a full period ---- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let journal_counter service name =
+  match Json.member "journal" (Service.stats_json service) with
+  | Some j -> (
+    match Json.member name j with
+    | Some v -> Result.get_ok (Json.to_int v)
+    | None -> Alcotest.failf "stats.journal has no %s" name)
+  | None -> Alcotest.fail "stats carry no journal block"
+
+let failed_checkpoint_waits_a_period () =
+  with_persistent_service ~tag:"ckptfail" ~checkpoint_every:2
+    (fun service ~cache_file ~journal_file ~config:_ ->
+      (* A directory squatting on the temp name fails every snapshot
+         write, while journal appends keep succeeding. *)
+      let tmp_dir = cache_file ^ ".tmp" in
+      Unix.mkdir tmp_dir 0o755;
+      Fun.protect ~finally:(fun () -> if Sys.file_exists tmp_dir then Unix.rmdir tmp_dir)
+      @@ fun () ->
+      List.iter (fun i -> ignore (Service.compile service ~device:"example6q" (circuit_no i))) [ 0; 1; 2; 3; 4; 5 ];
+      Alcotest.(check int) "one attempt per period" 3 (journal_counter service "checkpoint_failures");
+      Alcotest.(check int) "no checkpoint landed" 0 (journal_counter service "checkpoints");
+      Alcotest.(check int) "the journal still holds every record" 6
+        (List.length (Journal.replay ~path:journal_file).Journal.records);
+      Unix.rmdir tmp_dir;
+      (* circuit_no cycles after six; two more distinct circuits *)
+      List.iter
+        (fun q ->
+          let c = Circuit.measure_all (Circuit.x (Circuit.create 6) q) in
+          ignore (Service.compile service ~device:"example6q" c))
+        [ 0; 1 ];
+      Alcotest.(check int) "the next period checkpoints" 1 (journal_counter service "checkpoints");
+      Alcotest.(check int) "failures stay counted" 3 (journal_counter service "checkpoint_failures");
+      Alcotest.(check int) "snapshot holds all eight" 8
+        (List.length (Journal.replay ~path:cache_file).Journal.records))
+
+(* ---- snapshot: a damaged line keeps the valid prefix, reported ---- *)
+
+let damaged_snapshot_keeps_prefix () =
+  with_persistent_service ~tag:"snapflip" (fun service ~cache_file ~journal_file:_ ~config ->
+      List.iter (fun i -> ignore (Service.compile service ~device:"example6q" (circuit_no i))) [ 0; 1; 2; 3; 4 ];
+      (match Service.checkpoint service with Ok () -> () | Error e -> Alcotest.fail e);
+      let lines = String.split_on_char '\n' (read_file cache_file) |> List.filter (( <> ) "") in
+      Alcotest.(check int) "five snapshot lines" 5 (List.length lines);
+      let flipped =
+        List.mapi
+          (fun i line ->
+            if i <> 2 then line
+            else
+              String.mapi
+                (fun j c -> if j = String.length line / 2 then Char.chr (Char.code c lxor 1) else c)
+                line)
+          lines
+      in
+      let oc = open_out_bin cache_file in
+      List.iter (fun l -> output_string oc (l ^ "\n")) flipped;
+      close_out oc;
+      let service2 = example_service ~config () in
+      match Service.recover service2 ~cache_file ~fsync:false () with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        Alcotest.(check int) "valid prefix restored" 2 r.Service.snapshot_entries;
+        Alcotest.(check int) "drop reported" 3 r.Service.snapshot_dropped;
+        Alcotest.(check bool) "damage reported" true r.Service.snapshot_torn;
+        let oldest_two =
+          List.filteri (fun i _ -> i < 2) (List.rev (Cache.keys_newest_first (Service.cache service)))
+        in
+        Alcotest.(check (list string)) "the two oldest entries survive" (List.rev oldest_two)
+          (Cache.keys_newest_first (Service.cache service2)))
+
+(* ---- sealed lines: one-pass seal equals the two-pass codec ---- *)
+
+(* The codec before sealing went single-pass: render the payload,
+   digest it, then render the object again with the crc appended. *)
+let two_pass_line fields =
+  let crc = Digest.to_hex (Digest.string (Json.to_string ~indent:false (Json.Object fields))) in
+  Json.to_string ~indent:false (Json.Object (fields @ [ ("crc", Json.String crc) ]))
+
+let gen_record =
+  let device = Core.Presets.example_6q () in
+  let edges = Array.of_list (Core.Topology.edges (Device.topology device)) in
+  QCheck.Gen.(
+    let special = oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 5e-324; Float.max_float ] in
+    let num = frequency [ (3, float); (2, special) ] in
+    let gate =
+      map3
+        (fun kind q angle c ->
+          match kind with
+          | 0 -> Circuit.h c (q mod 6)
+          | 1 -> Circuit.rz c angle (q mod 6)
+          | _ ->
+            let a, b = edges.(q mod Array.length edges) in
+            Circuit.cnot c ~control:a ~target:b)
+        (int_bound 2) (int_bound 50) (float_range (-10.0) 10.0)
+    in
+    let* gates = list_size (int_range 1 12) gate in
+    let circuit = Circuit.measure_all (List.fold_left (fun c g -> g c) (Circuit.create 6) gates) in
+    let* key = string_size ~gen:printable (int_range 0 40) in
+    let* epoch = string_size ~gen:char (int_range 0 12) in
+    let* objective = num and* solve_seconds = num and* idle_total = num and* idle_max = num in
+    let* pairs = int_bound 1000 and* nodes = int and* optimal = bool in
+    let* rung = oneofl Core.Xtalk_sched.all_rungs in
+    let stats =
+      {
+        Core.Xtalk_sched.pairs;
+        clusters = pairs / 3;
+        windows = 0;
+        nodes;
+        optimal;
+        objective;
+        solve_seconds;
+        cpu_seconds = solve_seconds;
+        idle_total;
+        idle_max;
+        rung;
+      }
+    in
+    let schedule = Core.Par_sched.schedule device circuit in
+    return { Journal.key; entry = { Cache.schedule; stats; epoch } })
+
+let prop_seal_matches_two_pass =
+  QCheck.Test.make ~name:"sealed journal and replica lines match the two-pass codec" ~count:200
+    (QCheck.make QCheck.Gen.(pair gen_record (pair (int_bound 8) (int_bound 100000))))
+    (fun (record, (shard, seq)) ->
+      let e = record.Journal.entry in
+      let entry_fields =
+        [
+          ("epoch", Json.String e.Cache.epoch);
+          ("stats", Wire.stats_to_json e.Cache.stats);
+          ("schedule", Wire.schedule_to_json e.Cache.schedule);
+        ]
+      in
+      let key = ("key", Json.String record.Journal.key) in
+      let journal = Journal.line_of_record record in
+      let replica = Core.Replica.line_of_record ~shard ~seq record in
+      let same_entry (r : Journal.record) =
+        r.Journal.key = record.Journal.key
+        && Json.to_string (Cache.entry_to_json r.Journal.entry) = Json.to_string (Cache.entry_to_json e)
+      in
+      journal = two_pass_line (("op", Json.String "add") :: key :: entry_fields)
+      && replica
+         = two_pass_line
+             (("op", Json.String "rep")
+             :: ("shard", Json.Number (float_of_int shard))
+             :: ("seq", Json.Number (float_of_int seq))
+             :: key :: entry_fields)
+      && (match Journal.record_of_line journal with Ok r -> same_entry r | Error _ -> false)
+      &&
+      match Core.Replica.record_of_line replica with
+      | Ok (s, q, r) -> s = shard && q = seq && same_entry r
+      | Error _ -> false)
+
 let suite =
   [
     ( "chaos.wire",
@@ -555,6 +711,9 @@ let suite =
         Alcotest.test_case "checkpoint compaction" `Quick checkpoint_compaction;
         Alcotest.test_case "recover truncated journal" `Quick recover_truncated_journal;
         Alcotest.test_case "full disk degrades gracefully" `Quick journal_full_disk_degrades;
+        Alcotest.test_case "failed checkpoint waits a period" `Quick failed_checkpoint_waits_a_period;
+        Alcotest.test_case "damaged snapshot keeps valid prefix" `Quick damaged_snapshot_keeps_prefix;
+        QCheck_alcotest.to_alcotest prop_seal_matches_two_pass;
       ] );
     ( "chaos.registry",
       [ Alcotest.test_case "bump over corrupt snapshot" `Quick bump_over_corrupt_snapshot ] );

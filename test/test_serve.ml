@@ -153,25 +153,6 @@ let cache_lru_eviction () =
   Alcotest.(check int) "insertions" 3 c.Cache.insertions;
   Alcotest.(check int) "size" 2 c.Cache.size
 
-let cache_persistence_roundtrip () =
-  let device = Core.Presets.linear 4 in
-  let cache = Cache.create ~capacity:8 in
-  Cache.add cache "ka" (dummy_entry device false);
-  Cache.add cache "kb" (dummy_entry device true);
-  ignore (Cache.find cache "ka");
-  let path = tmp "qcx_test_cache.json" in
-  (match Cache.save ~path cache with Ok () -> () | Error e -> Alcotest.fail e);
-  match Cache.load ~capacity:8 ~path with
-  | Error e -> Alcotest.fail e
-  | Ok loaded ->
-    Alcotest.(check (list string)) "recency preserved" [ "ka"; "kb" ]
-      (Cache.keys_newest_first loaded);
-    let orig = Option.get (Cache.find cache "kb") in
-    let back = Option.get (Cache.find loaded "kb") in
-    Alcotest.(check string) "schedule round-trips bit-identically"
-      (Json.to_string (Wire.schedule_to_json orig.Cache.schedule))
-      (Json.to_string (Wire.schedule_to_json back.Cache.schedule))
-
 (* ---- registry ---- *)
 
 let registry_epoch_bumps () =
@@ -290,6 +271,78 @@ let service_epoch_bump_invalidates () =
   in
   Alcotest.(check bool) "epoch bump misses" false o2.Service.cached;
   Alcotest.(check bool) "key changed with epoch" false (o1.Service.key = o2.Service.key)
+
+(* The snapshot is the journal's own format: after inserts, LRU
+   evictions, an epoch purge and the re-insert of an evicted key, a
+   checkpoint holds exactly the live entries, least recent first, each
+   the byte-identical journal line of the live entry — and recovery
+   reproduces the cache's recency and every entry. *)
+let cache_persistence_roundtrip () =
+  let device = Core.Presets.example_6q () in
+  let make_service () =
+    let registry = Registry.create () in
+    ignore (Registry.add_static registry ~id:"a" ~device ~xtalk:(Device.ground_truth device));
+    ignore (Registry.add_static registry ~id:"b" ~device ~xtalk:Core.Crosstalk.empty);
+    Service.create ~config:{ Service.default_config with Service.cache_capacity = 3 } registry
+  in
+  let cache_file = tmp (Printf.sprintf "qcx_test_snapshot_%d.json" (Unix.getpid ())) in
+  let files = [ cache_file; cache_file ^ ".journal" ] in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files;
+  Fun.protect ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files)
+  @@ fun () ->
+  let service = make_service () in
+  (match Service.enable_persistence service ~cache_file ~fsync:false () with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let circuit i = bell_with_measures ~order:(List.init (i + 1) Fun.id) 6 in
+  let compile device i =
+    match Service.compile service ~device (circuit i) with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  let c0 = compile "a" 0 in
+  ignore (compile "b" 1);
+  ignore (compile "a" 2);
+  ignore (compile "b" 3);
+  Alcotest.(check bool) "c0 evicted" false (Cache.mem (Service.cache service) c0.Service.key);
+  Alcotest.(check bool) "b's entry hits" true (compile "b" 1).Service.cached;
+  let bumped = Core.Crosstalk.set Core.Crosstalk.empty ~target:(0, 1) ~spectator:(2, 3) 0.05 in
+  (match Registry.set_xtalk (Service.registry service) ~id:"b" bumped with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "bump purges b's two entries" 2 (Service.purge_stale service);
+  Alcotest.(check bool) "evicted key re-inserted cold" false (compile "a" 0).Service.cached;
+  ignore (compile "b" 4);
+  (match Service.checkpoint service with Ok () -> () | Error e -> Alcotest.fail e);
+  let cache = Service.cache service in
+  let keys = Cache.keys_newest_first cache in
+  Alcotest.(check int) "three live entries" 3 (List.length keys);
+  let entries = List.map (fun key -> (key, Option.get (Cache.find cache key))) keys in
+  let snapshot =
+    let ic = open_in_bin cache_file in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    text
+  in
+  Alcotest.(check string) "snapshot = live entries' journal lines, oldest first"
+    (String.concat ""
+       (List.rev_map (fun (key, entry) -> Core.Journal.line_of_record { Core.Journal.key; entry } ^ "\n") entries))
+    snapshot;
+  let service2 = make_service () in
+  match Service.recover service2 ~cache_file ~fsync:false () with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    Alcotest.(check int) "all restored from the snapshot" 3 r.Service.snapshot_entries;
+    Alcotest.(check int) "nothing dropped" 0 r.Service.snapshot_dropped;
+    Alcotest.(check int) "journal empty after the checkpoint" 0 r.Service.journal_entries;
+    let cache2 = Service.cache service2 in
+    Alcotest.(check (list string)) "recency reproduced" keys (Cache.keys_newest_first cache2);
+    List.iter
+      (fun (key, entry) ->
+        Alcotest.(check string) "entry identical"
+          (Json.to_string (Cache.entry_to_json entry))
+          (Json.to_string (Cache.entry_to_json (Option.get (Cache.find cache2 key)))))
+      entries
 
 let service_rejects_bad_requests () =
   let service = example_service () in
