@@ -23,11 +23,11 @@
      dune exec bench/main.exe -- --chaos-client --socket S --mode record|verify|load
        (out-of-process client for the ci.sh crash-recovery smoke test)
      dune exec bench/main.exe -- --bench-sched --jobs 4 --repeats 5
-       (fast vs legacy solver engine on the fig8/fig9 scheduling
-        workloads; writes BENCH_sched.json, exits 1 unless nodes and
-        wall-clock drop >= 2x with equal-or-better objectives and
-        jobs-independent schedules; --smoke runs 1 repeat and skips
-        the wall-clock gate)
+       (the solver's one search core on the fig8/fig9 scheduling
+        workloads against the frozen legacy baseline; writes
+        BENCH_sched.json, exits 1 unless nodes are >= 2x below the
+        frozen totals with equal-or-better objectives and
+        jobs-independent schedules; --smoke runs 1 repeat)
      dune exec bench/main.exe -- --drift-bench --days 20 --seed 7
        (simulated drift campaign over the calibration data plane:
         daily workload + drift detection + Opt-3 incremental

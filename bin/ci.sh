@@ -1,24 +1,35 @@
 #!/bin/sh
-# CI entry point: typecheck, build everything, run the test suite,
-# then four end-to-end smoke tests: a 2-day fault-injected mini soak
-# (fails on any compile loss or ingested corruption), a compile
-# request served through the qcx_serve --once NDJSON path, a chaos
-# crash-recovery drill (kill -9 the daemon mid-load, restart, require
-# the snapshot + write-ahead journal to hand back every recorded
-# schedule bit for bit, with entries read from the snapshot, then
-# drain cleanly on SIGTERM), the seeded 20-run chaos
-# campaign (BENCH_chaos.json), a scheduler-core smoke benchmark
-# that fails if the fast engine loses its node-count edge over the
-# legacy engine or any schedule differs between --jobs 1 and 4, and
-# a scale smoke benchmark (windowed scheduler on the generated
-# 127-qubit heavy-hex model, jobs-deterministic, quality-gated
-# against the exact solver on small control slices), and an
-# error-mitigation smoke benchmark (DD must beat no-DD on the
-# idle-heavy XtalkSched slice, ZNE must beat the unmitigated
-# aggregate, the cell table must be jobs-identical), and a serve-tier
-# smoke benchmark (rendered cached-path throughput, the event-driven
-# reactor over a live socket, and a seeded stall-injection campaign
-# with a bounded cached-path tail).
+# CI entry point: typecheck, build everything, run the test suite and
+# its per-area aliases, then these end-to-end smoke tests, in order:
+#   - a 2-day fault-injected mini soak (fails on any compile loss or
+#     ingested corruption);
+#   - one compile request served through the qcx_serve --once NDJSON
+#     path;
+#   - a chaos crash-recovery drill (kill -9 the daemon mid-load,
+#     restart, require the snapshot + write-ahead journal to hand back
+#     every recorded schedule bit for bit, with entries read from the
+#     snapshot, then drain cleanly on SIGTERM);
+#   - a drift drill (a poisoned calibration epoch under load must be
+#     canary-rejected with the epoch and cache intact);
+#   - a fleet drill (3 shards + router: kill -9 a shard, fail over
+#     bit-identically, rebuild it from its peer replica);
+#   - the 20-day drift campaign (BENCH_drift.json, jobs 1/2/4);
+#   - the seeded 20-run chaos campaign (BENCH_chaos.json);
+#   - a scheduler-core smoke benchmark, checked against the frozen
+#     legacy baseline: it fails if an objective is worse than the
+#     frozen one, if nodes are not at least 2x below the frozen
+#     totals, or if any schedule differs between --jobs 1 and 4;
+#   - a scale smoke benchmark (windowed scheduler on the generated
+#     127-qubit heavy-hex model, jobs-deterministic, quality-gated
+#     against the exact solver on small control slices);
+#   - an error-mitigation smoke benchmark (DD must beat no-DD on the
+#     idle-heavy XtalkSched slice, ZNE must beat the unmitigated
+#     aggregate, the cell table must be jobs-identical);
+#   - a fleet smoke benchmark (shard-count determinism matrix plus
+#     seeded kill drills);
+#   - a serve-tier smoke benchmark (rendered cached-path throughput,
+#     the event-driven reactor over a live socket, and a seeded
+#     stall-injection campaign with a bounded cached-path tail).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -181,7 +192,7 @@ echo "ci: chaos campaign (20 seeds)"
 dune exec bench/main.exe -- --chaos-bench --seeds 20 --requests 60 --jobs 2 \
   --chaos-dir "$SCRATCH/chaos" --out BENCH_chaos.json
 
-echo "ci: scheduler-core smoke (fast vs legacy, --jobs 1 vs 4 determinism)"
+echo "ci: scheduler-core smoke (vs frozen legacy baseline, --jobs 1 vs 4 determinism)"
 dune exec bench/main.exe -- --bench-sched --smoke --jobs 4 \
   --out "$SCRATCH/BENCH_sched.json"
 

@@ -390,12 +390,3 @@ let characterize_incremental ?(params = Rb.default_params) ?(jobs = 1) ?(retry =
     full_executions;
     cost_fraction = float_of_int run_executions /. float_of_int full_executions;
   }
-
-let refresh ?params ?(jobs = 1) ?(threshold = 3.0) ~rng device ~previous =
-  let flagged = Crosstalk.high_crosstalk_pairs previous (Device.calibration device) ~threshold in
-  if flagged = [] then previous
-  else begin
-    let daily = plan ~rng device (High_crosstalk_only flagged) in
-    let outcome = characterize ?params ~jobs ~rng device daily in
-    Crosstalk.merge previous outcome.xtalk
-  end

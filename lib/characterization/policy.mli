@@ -195,21 +195,6 @@ val characterize_incremental :
     pricing and measurement use independent child streams of [rng],
     so results are deterministic at every [jobs]. *)
 
-val refresh :
-  ?params:Rb.params ->
-  ?jobs:int ->
-  ?threshold:float ->
-  rng:Qcx_util.Rng.t ->
-  Qcx_device.Device.t ->
-  previous:Qcx_device.Crosstalk.t ->
-  Qcx_device.Crosstalk.t
-(** The daily Optimization-3 workflow in one call: bin-pack and
-    re-measure only the pairs the [previous] characterization flags at
-    [threshold] (default 3), and merge the fresh conditional rates over
-    the old data (fresh entries win).  Cheap enough to run every day;
-    the stale entries for quiet pairs only matter if a pair later
-    crosses the threshold, which the periodic full pass catches. *)
-
 val high_pairs_of_outcome :
   ?threshold:float -> Qcx_device.Device.t -> outcome -> Binpack.pair list
 (** Flag pairs whose characterized conditional rate exceeds

@@ -59,7 +59,7 @@ let clusters_of instances =
    cluster order, so decisions are identical at every [jobs].  A
    cluster whose solve fails (deadline, budget) simply contributes no
    decisions — the caller's replay leaves those booleans free. *)
-let solve_cluster_decisions ~jobs ~engine ~node_budget ~deadline ~build ~warm instances =
+let solve_cluster_decisions ~jobs ~node_budget ~deadline ~build ~warm instances =
   let clusters = Array.of_list (clusters_of instances) in
   let solved =
     Pool.parallel_chunks ~jobs ~n:(Array.length clusters) (fun ~lo ~hi ->
@@ -68,7 +68,7 @@ let solve_cluster_decisions ~jobs ~engine ~node_budget ~deadline ~build ~warm in
             let enc = build ~instances:cluster_instances in
             match
               Solver.solve ~node_budget ?deadline_seconds:(deadline ())
-                ~warm_starts:(warm enc) ~engine enc.Encoding.solver
+                ~warm_starts:(warm enc) enc.Encoding.solver
             with
             | None -> (0, [])
             | Some sol ->
@@ -148,31 +148,30 @@ let prepare ~device ~xtalk ~threshold circuit (lo, hi) =
 (* Phase 1: solve one window's clusters (sequentially — phase 1 runs
    window-parallel on the pool, which must not be re-entered).
    Returns the window's encoding builder for the phase-2 replay. *)
-let solve_window ~engine ~node_budget ~deadline ~omega ~threshold ~device ~xtalk w =
+let solve_window ~node_budget ~deadline ~omega ~threshold ~device ~xtalk w =
   let build ~instances =
     Encoding.build ~instances ~device ~xtalk ~omega ~threshold ~dag:w.dag
       ~durations:w.durations ()
   in
+  (* Built on first use, so a window without clusters skips it; the
+     cluster solves below run sequentially, never forcing it twice at
+     once. *)
   let hint_schedules =
-    if engine <> Solver.Fast then []
-    else
-      let from f = match f () with s -> [ s ] | exception _ -> [] in
-      from (fun () -> Par_sched.schedule device w.sub)
-      @ from (fun () -> fst (Greedy_sched.schedule ~threshold ~device ~xtalk w.sub))
+    lazy
+      (let from f = match f () with s -> [ s ] | exception _ -> [] in
+       from (fun () -> Par_sched.schedule device w.sub)
+       @ from (fun () -> fst (Greedy_sched.schedule ~threshold ~device ~xtalk w.sub)))
   in
-  let warm enc =
-    if engine <> Solver.Fast then []
-    else Encoding.warm_hints ~schedules:hint_schedules enc
-  in
+  let warm enc = Encoding.warm_hints ~schedules:(Lazy.force hint_schedules) enc in
   let nclusters, nodes, decisions =
-    solve_cluster_decisions ~jobs:1 ~engine ~node_budget ~deadline ~build ~warm w.instances
+    solve_cluster_decisions ~jobs:1 ~node_budget ~deadline ~build ~warm w.instances
   in
   (build, nclusters, nodes, decisions)
 
 exception Stitch_failed
 
-let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~jobs ~engine
-    ~device ~xtalk circuit =
+let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~jobs ~device
+    ~xtalk circuit =
   let n = Circuit.length circuit in
   if n = 0 then None
   else begin
@@ -198,7 +197,7 @@ let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~job
       let solved =
         Pool.parallel_chunks ~jobs ~n:(Array.length prepared) (fun ~lo ~hi ->
             Array.init (hi - lo) (fun k ->
-                solve_window ~engine ~node_budget ~deadline ~omega ~threshold ~device ~xtalk
+                solve_window ~node_budget ~deadline ~omega ~threshold ~device ~xtalk
                   prepared.(lo + k)))
         |> List.concat_map Array.to_list
         |> Array.of_list
@@ -248,8 +247,7 @@ let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~job
                   ~time:rel)
             (Circuit.gates w.sub);
           match
-            Solver.solve ~node_budget ?deadline_seconds:(deadline ()) ~engine
-              enc.Encoding.solver
+            Solver.solve ~node_budget ?deadline_seconds:(deadline ()) enc.Encoding.solver
           with
           | None -> raise Stitch_failed
           | Some sol ->

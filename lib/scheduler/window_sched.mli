@@ -3,8 +3,8 @@
     The exact encoding cannot follow circuits past a few hundred gates
     (the replayed full encoding alone becomes the bottleneck), so this
     module partitions the gate stream into id-contiguous time windows,
-    solves each window's interfering-pair clusters with the Fast
-    engine (pool-parallel {e across} windows), and stitches the
+    solves each window's interfering-pair clusters with the solver
+    (pool-parallel {e across} windows), and stitches the
     committed windows together with boundary constraints:
 
     - {b qubit-availability frontiers}: every gate is released no
@@ -49,7 +49,6 @@ val clusters_of : (int * int) list -> (int * int) list list
 
 val solve_cluster_decisions :
   jobs:int ->
-  engine:Qcx_smt.Solver.engine ->
   node_budget:int ->
   deadline:(unit -> float option) ->
   build:(instances:(int * int) list -> Encoding.t) ->
@@ -72,7 +71,6 @@ val schedule :
   node_budget:int ->
   deadline:(unit -> float option) ->
   jobs:int ->
-  engine:Qcx_smt.Solver.engine ->
   device:Qcx_device.Device.t ->
   xtalk:Qcx_device.Crosstalk.t ->
   Qcx_circuit.Circuit.t ->

@@ -40,7 +40,7 @@ let extract_schedule circuit durations encoding (solution : Solver.solution) =
    optionally precomputed DAG/durations/instances ([tune_omega] shares
    one preparation across every omega candidate). *)
 let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadline_seconds
-    ~ladder_start ~window_gates ~jobs ~engine ~device ~xtalk ~prep circuit =
+    ~ladder_start ~window_gates ~jobs ~device ~xtalk ~prep circuit =
   if omega >= 1.0 then begin
     (* omega = 1 ignores decoherence entirely; any serialization is
        then optimal and the paper equates this setting with
@@ -111,7 +111,7 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
   let windowed_rung () =
     match
       Window_sched.schedule ~window_gates ~omega ~threshold ~node_budget
-        ~deadline:remaining ~jobs ~engine ~device ~xtalk circuit
+        ~deadline:remaining ~jobs ~device ~xtalk circuit
     with
     | Some r ->
       ( r.Window_sched.schedule,
@@ -138,24 +138,18 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
       Encoding.build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations ()
     in
     (* Cheap list schedules whose pair decisions seed the solver's
-       incumbent (the legacy engine ignores warm starts, so skip the
-       work there). *)
+       incumbent; built on first use only. *)
     let hint_schedules =
       lazy
-        (if engine <> Solver.Fast then []
-         else
-           let from f = match f () with s -> [ s ] | exception _ -> [] in
-           from (fun () -> Par_sched.schedule device circuit)
-           @ from (fun () -> fst (Greedy_sched.schedule ~threshold ~device ~xtalk circuit)))
+        (let from f = match f () with s -> [ s ] | exception _ -> [] in
+         from (fun () -> Par_sched.schedule device circuit)
+         @ from (fun () -> fst (Greedy_sched.schedule ~threshold ~device ~xtalk circuit)))
     in
-    let warm_starts enc =
-      if engine <> Solver.Fast then []
-      else Encoding.warm_hints ~schedules:(Lazy.force hint_schedules) enc
-    in
+    let warm_starts enc = Encoding.warm_hints ~schedules:(Lazy.force hint_schedules) enc in
     let solve ?(warm = true) enc =
       Solver.solve ~node_budget ?deadline_seconds:(remaining ())
         ~warm_starts:(if warm then warm_starts enc else [])
-        ~engine enc.Encoding.solver
+        enc.Encoding.solver
     in
     let cluster_rung () =
       (* Past a couple of windows' worth of gates the monolithic
@@ -175,7 +169,7 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
              must not be forced concurrently from several domains. *)
           ignore (Lazy.force hint_schedules);
           let nclusters, cluster_nodes, decisions =
-            Window_sched.solve_cluster_decisions ~jobs ~engine ~node_budget
+            Window_sched.solve_cluster_decisions ~jobs ~node_budget
               ~deadline:remaining
               ~build:(fun ~instances -> build ~instances ())
               ~warm:warm_starts instances
@@ -246,10 +240,10 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
 
 let schedule ?(omega = 0.5) ?(threshold = 3.0) ?(node_budget = 2_000_000)
     ?(max_exact_pairs = 14) ?deadline_seconds ?(ladder_start = Exact)
-    ?(window_gates = 160) ?(jobs = 1) ?(engine = Solver.Fast) ~device ~xtalk circuit =
+    ?(window_gates = 160) ?(jobs = 1) ~device ~xtalk circuit =
   let circuit = Circuit.decompose_swaps circuit in
   schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadline_seconds
-    ~ladder_start ~window_gates ~jobs ~engine ~device ~xtalk ~prep:None circuit
+    ~ladder_start ~window_gates ~jobs ~device ~xtalk ~prep:None circuit
 
 let tune_omega ?(candidates = [ 0.0; 0.05; 0.2; 0.5; 0.8; 1.0 ]) ?(threshold = 3.0)
     ?(jobs = 1) ~device ~xtalk circuit =
@@ -277,7 +271,7 @@ let tune_omega ?(candidates = [ 0.0; 0.05; 0.2; 0.5; 0.8; 1.0 ]) ?(threshold = 3
             let sched, stats =
               schedule_decomposed ~omega ~threshold ~node_budget:2_000_000
                 ~max_exact_pairs:14 ~deadline_seconds:None ~ladder_start:Exact
-                ~window_gates:160 ~jobs:1 ~engine:Solver.Fast ~device ~xtalk ~prep circuit
+                ~window_gates:160 ~jobs:1 ~device ~xtalk ~prep circuit
             in
             let err = (Evaluate.model device ~xtalk sched).Evaluate.error in
             (err, (omega, sched, stats))))

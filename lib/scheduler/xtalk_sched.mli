@@ -81,7 +81,6 @@ val schedule :
   ?ladder_start:rung ->
   ?window_gates:int ->
   ?jobs:int ->
-  ?engine:Qcx_smt.Solver.engine ->
   device:Qcx_device.Device.t ->
   xtalk:Qcx_device.Crosstalk.t ->
   Qcx_circuit.Circuit.t ->
@@ -117,9 +116,9 @@ val schedule :
     (absent a deadline, which makes any solver cutoff
     timing-dependent).  Leave it at 1 when calling from
     inside another pool-parallel region (e.g. the service's batch
-    compile), which would otherwise re-enter the pool.  [engine]
-    selects the solver search core ({!Qcx_smt.Solver.Fast} by default;
-    [Legacy] is the seed baseline used by [bench/exp_sched.ml]).  Warm
-    starts derived from the greedy/parallel list schedules seed the
-    fast engine's incumbent, so its exact solves explore a fraction of
-    the legacy node count. *)
+    compile), which would otherwise re-enter the pool.
+
+    The solver has one search core.  Warm starts derived from the
+    greedy/parallel list schedules seed its incumbent, so its exact
+    solves explore at most half the nodes of the seed's search core,
+    whose frozen counts [bench/exp_sched.ml] keeps as the baseline. *)

@@ -16,8 +16,6 @@ type t = {
       (** lazily created zero-pinned origin for absolute release bounds *)
 }
 
-type engine = Fast | Legacy
-
 type solution = {
   bools : bool array;
   nums : float array;
@@ -95,27 +93,24 @@ exception Conflict
 exception Budget
 exception Deadline
 
-(* Objective scenario, fast-engine bound bookkeeping: [nfalse] counts
-   the scenario's literals currently assigned to the opposite value;
-   the scenario is still viable iff [nfalse = 0]. *)
+(* Objective scenario, bound bookkeeping: [nfalse] counts the
+   scenario's literals currently assigned to the opposite value; the
+   scenario is still viable iff [nfalse = 0]. *)
 type scen = { slits : lit array; scost : float; group : int; mutable nfalse : int }
 
-(* A cost group, fast engine: scenarios sorted by ascending cost, so
-   the min viable cost is the first scenario with [nfalse = 0].  The
-   cached min is invalidated whenever a member scenario flips
-   viability. *)
+(* A cost group: scenarios sorted by ascending cost, so the min viable
+   cost is the first scenario with [nfalse = 0].  The cached min is
+   invalidated whenever a member scenario flips viability. *)
 type group = { sorted : scen array; mutable cached_min : float; mutable dirty : bool }
 
 type search_state = {
   problem : t;
-  engine : engine;
   assign : int array;  (** -1 unassigned, 0 false, 1 true *)
   clauses : lit array array;
   mutable best : solution option;
   mutable node_count : int;
   budget : int;
   deadline : float;  (** absolute wall-clock time; [infinity] = none *)
-  (* ---- fast engine only (dummy empties under Legacy) ---- *)
   watch : int list array;  (** literal index -> watching clause ids *)
   w0 : int array;  (** clause id -> first watched position *)
   w1 : int array;  (** clause id -> second watched position *)
@@ -140,9 +135,9 @@ let lit_status st { var; value } =
 
 (* Assign a variable, activate its guarded edges (inside a fresh graph
    frame) and return the number of frames pushed so the caller can
-   undo.  Raises [Conflict] if already assigned inconsistently.  Under
-   the fast engine also bumps scenario falsification counters and
-   enqueues the variable for watched-literal processing. *)
+   undo.  Raises [Conflict] if already assigned inconsistently.  Also
+   bumps scenario falsification counters and enqueues the variable for
+   watched-literal processing. *)
 let do_assign st var value undo =
   match st.assign.(var) with
   | a when a >= 0 -> if (a = 1) <> value then raise Conflict
@@ -157,15 +152,13 @@ let do_assign st var value undo =
           if v = value then Dgraph.add_edge st.problem.graph ~src ~dst ~weight)
         edges);
     undo := var :: !undo;
-    if st.engine = Fast then begin
-      Queue.add var st.queue;
-      (* literals of polarity [not value] on this var just went false *)
-      List.iter
-        (fun s ->
-          s.nfalse <- s.nfalse + 1;
-          if s.nfalse = 1 then st.groups.(s.group).dirty <- true)
-        st.occs.((2 * var) + Bool.to_int (not value))
-    end
+    Queue.add var st.queue;
+    (* literals of polarity [not value] on this var just went false *)
+    List.iter
+      (fun s ->
+        s.nfalse <- s.nfalse + 1;
+        if s.nfalse = 1 then st.groups.(s.group).dirty <- true)
+      st.occs.((2 * var) + Bool.to_int (not value))
 
 let undo_all st undo =
   List.iter
@@ -173,43 +166,15 @@ let undo_all st undo =
       let a = st.assign.(var) in
       st.assign.(var) <- -1;
       Dgraph.pop st.problem.graph;
-      if st.engine = Fast then
-        List.iter
-          (fun s ->
-            s.nfalse <- s.nfalse - 1;
-            if s.nfalse = 0 then st.groups.(s.group).dirty <- true)
-          st.occs.((2 * var) + (1 - a)))
+      List.iter
+        (fun s ->
+          s.nfalse <- s.nfalse - 1;
+          if s.nfalse = 0 then st.groups.(s.group).dirty <- true)
+        st.occs.((2 * var) + (1 - a)))
     !undo;
   undo := []
 
-(* ---- legacy propagation: rescan every clause to fixpoint ---- *)
-
-let propagate_legacy st undo =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun clause ->
-        let unassigned = ref [] in
-        let satisfied = ref false in
-        Array.iter
-          (fun l ->
-            match lit_status st l with
-            | `True -> satisfied := true
-            | `False -> ()
-            | `Unassigned -> unassigned := l :: !unassigned)
-          clause;
-        if not !satisfied then
-          match !unassigned with
-          | [] -> raise Conflict
-          | [ l ] ->
-            do_assign st l.var l.value undo;
-            changed := true
-          | _ -> ())
-      st.clauses
-  done
-
-(* ---- fast propagation: two watched literals ---- *)
+(* ---- propagation: two watched literals ---- *)
 
 exception Found of int
 
@@ -260,7 +225,7 @@ let process_var st var undo =
   in
   go clauses
 
-let propagate_fast st undo =
+let propagate st undo =
   try
     while not (Queue.is_empty st.queue) do
       process_var st (Queue.pop st.queue) undo
@@ -269,32 +234,12 @@ let propagate_fast st undo =
     Queue.clear st.queue;
     raise e
 
-let propagate st undo =
-  match st.engine with
-  | Legacy -> propagate_legacy st undo
-  | Fast -> propagate_fast st undo
-
 (* ---- lower bounds ---- *)
 
-(* Legacy: cheapest scenario not yet falsified in each group, found by
-   refiltering every scenario's literal list at every node. *)
-let bool_cost_lb_legacy st =
-  List.fold_left
-    (fun acc scenarios ->
-      let viable =
-        List.filter_map
-          (fun (lits, cost) ->
-            if List.exists (fun l -> lit_status st l = `False) lits then None else Some cost)
-          scenarios
-      in
-      match viable with
-      | [] -> infinity (* all scenarios falsified: dead branch *)
-      | costs -> acc +. List.fold_left min infinity costs)
-    0.0 st.problem.cost_groups
-
-(* Fast: per-group cached min over viable scenarios, maintained under
-   assignment/undo through the [nfalse] counters. *)
-let bool_cost_lb_fast st =
+(* Cheapest scenario not yet falsified in each group: a per-group
+   cached min over viable scenarios, maintained under assignment/undo
+   through the [nfalse] counters. *)
+let bool_cost_lb st =
   let acc = ref 0.0 in
   Array.iter
     (fun g ->
@@ -317,37 +262,12 @@ let bool_cost_lb_fast st =
     st.groups;
   !acc
 
-let bool_cost_lb st =
-  match st.engine with Legacy -> bool_cost_lb_legacy st | Fast -> bool_cost_lb_fast st
-
 (* Span lower bound: the longest path first -> last under currently
    active edges is a valid lower bound on (last - first), and only
-   grows as guards activate more edges. *)
-
-(* Legacy: rebuild the by-last index and run the backward relaxation
-   for every group of spans at every node. *)
-let span_lb_legacy st =
-  let by_last = Hashtbl.create 4 in
-  List.iter
-    (fun ((w, last, _) as span) ->
-      if w > 0.0 then
-        Hashtbl.replace by_last last
-          (span :: Option.value ~default:[] (Hashtbl.find_opt by_last last)))
-    st.problem.spans;
-  Hashtbl.fold
-    (fun last spans acc ->
-      let dist = Dgraph.longest_paths_to st.problem.graph ~dst:last in
-      List.fold_left
-        (fun acc (w, _, first) ->
-          let lp = dist.(first) in
-          if lp = neg_infinity then acc else acc +. (w *. max 0.0 lp))
-        acc spans)
-    by_last 0.0
-
-(* Fast: the by-last index is precomputed once per solve, and the
-   backward relaxation per [last] is cached against the graph's edge
-   epoch — nodes whose assignments activated no guarded edge reuse the
-   previous distances outright. *)
+   grows as guards activate more edges.  The by-last index is
+   precomputed once per solve, and the backward relaxation per [last]
+   is cached against the graph's edge epoch — nodes whose assignments
+   activated no guarded edge reuse the previous distances outright. *)
 let span_dists st last =
   let ep = Dgraph.epoch st.problem.graph in
   match Hashtbl.find_opt st.span_cache last with
@@ -357,7 +277,7 @@ let span_dists st last =
     Hashtbl.replace st.span_cache last (ep, d);
     d
 
-let span_lb_fast st =
+let span_lb st =
   Array.fold_left
     (fun acc (last, spans) ->
       let dist = span_dists st last in
@@ -368,21 +288,16 @@ let span_lb_fast st =
         acc spans)
     0.0 st.spans_by_last
 
-let span_lb st = match st.engine with Legacy -> span_lb_legacy st | Fast -> span_lb_fast st
-
-(* ASAP feasibility, cached per edge epoch under the fast engine. *)
+(* ASAP feasibility, cached per edge epoch. *)
 let asap st =
-  match st.engine with
-  | Legacy -> Dgraph.asap st.problem.graph
-  | Fast ->
-    let ep = Dgraph.epoch st.problem.graph in
-    if st.asap_epoch = ep then st.asap_cache
-    else begin
-      let r = Dgraph.asap st.problem.graph in
-      st.asap_cache <- r;
-      st.asap_epoch <- ep;
-      r
-    end
+  let ep = Dgraph.epoch st.problem.graph in
+  if st.asap_epoch = ep then st.asap_cache
+  else begin
+    let r = Dgraph.asap st.problem.graph in
+    st.asap_cache <- r;
+    st.asap_epoch <- ep;
+    r
+  end
 
 let feasible st = match asap st with Some _ -> true | None -> false
 
@@ -436,33 +351,20 @@ let record_leaf st =
             timed_out = false;
           }
 
-(* Branch variable choice.  Legacy: first unassigned.  Fast: the
+(* Branch variable choice: the first unassigned variable in the
    precomputed cost-spread order. *)
 let next_unassigned st =
-  match st.engine with
-  | Legacy ->
-    let next = ref (-1) in
-    (try
-       for v = 0 to Array.length st.assign - 1 do
+  let next = ref (-1) in
+  (try
+     Array.iter
+       (fun v ->
          if st.assign.(v) = -1 then begin
            next := v;
            raise Exit
-         end
-       done
-     with Exit -> ());
-    !next
-  | Fast ->
-    let next = ref (-1) in
-    (try
-       Array.iter
-         (fun v ->
-           if st.assign.(v) = -1 then begin
-             next := v;
-             raise Exit
-           end)
-         st.order
-     with Exit -> ());
-    !next
+         end)
+       st.order
+   with Exit -> ());
+  !next
 
 let rec search st =
   st.node_count <- st.node_count + 1;
@@ -484,13 +386,7 @@ let rec search st =
         let next = next_unassigned st in
         if next = -1 then record_leaf st
         else
-          let values =
-            match st.engine with
-            | Legacy -> [ false; true ]
-            | Fast ->
-              let first = st.prefer.(next) in
-              [ first; not first ]
-          in
+          let first = st.prefer.(next) in
           List.iter
             (fun value ->
               let undo = ref [] in
@@ -504,12 +400,12 @@ let rec search st =
                     propagate st undo;
                     search st
                   with Conflict -> ()))
-            values
+            [ first; not first ]
       end
     end
   end
 
-(* ---- fast-engine search-state construction ---- *)
+(* ---- search-state construction ---- *)
 
 let build_watches st =
   (* Unit clauses are root-level assignments; the empty clause is
@@ -601,32 +497,26 @@ let build_branch_order problem =
   in
   (order, prefer)
 
-let make_state (problem : t) engine ~node_budget ~deadline =
+let make_state (problem : t) ~node_budget ~deadline =
   let clauses = Array.of_list (List.map Array.of_list problem.clauses) in
   let nclauses = Array.length clauses in
-  let fast = engine = Fast in
-  let groups, occs =
-    if fast then build_groups problem else ([||], [||])
-  in
-  let order, prefer =
-    if fast then build_branch_order problem else ([||], [||])
-  in
+  let groups, occs = build_groups problem in
+  let order, prefer = build_branch_order problem in
   {
     problem;
-    engine;
     assign = Array.make problem.nbools (-1);
     clauses;
     best = None;
     node_count = 0;
     budget = node_budget;
     deadline;
-    watch = (if fast then Array.make (max 1 (2 * problem.nbools)) [] else [||]);
-    w0 = (if fast then Array.make nclauses 0 else [||]);
-    w1 = (if fast then Array.make nclauses 0 else [||]);
+    watch = Array.make (max 1 (2 * problem.nbools)) [];
+    w0 = Array.make nclauses 0;
+    w1 = Array.make nclauses 0;
     queue = Queue.create ();
     occs;
     groups;
-    spans_by_last = (if fast then build_span_index problem else [||]);
+    spans_by_last = build_span_index problem;
     asap_epoch = min_int;
     asap_cache = None;
     span_cache = Hashtbl.create 4;
@@ -638,12 +528,9 @@ let make_state (problem : t) engine ~node_budget ~deadline =
    fixpoint.  Raises [Conflict] when the root level is already
    inconsistent. *)
 let propagate_root st undo =
-  match st.engine with
-  | Legacy -> propagate_legacy st undo
-  | Fast ->
-    let units = build_watches st in
-    List.iter (fun l -> do_assign st l.var l.value undo) units;
-    propagate_fast st undo
+  let units = build_watches st in
+  List.iter (fun l -> do_assign st l.var l.value undo) units;
+  propagate st undo
 
 (* Warm start: evaluate a caller-supplied full assignment (e.g. the
    greedy serialize-everything schedule) so [st.best] prunes from the
@@ -667,31 +554,28 @@ let try_warm_start st hint =
         record_leaf st
       with Conflict -> ())
 
-let solve ?(node_budget = 2_000_000) ?deadline_seconds ?(warm_starts = []) ?(engine = Fast) t
-    =
+let solve ?(node_budget = 2_000_000) ?deadline_seconds ?(warm_starts = []) t =
   let deadline =
     match deadline_seconds with
     | None -> infinity
     | Some s -> if s = infinity then infinity else Unix.gettimeofday () +. max 0.0 s
   in
-  let st = make_state t engine ~node_budget ~deadline in
+  let st = make_state t ~node_budget ~deadline in
   let undo = ref [] in
   let complete, timed_out =
     try
       propagate_root st undo;
-      if engine = Fast then begin
-        (* Duplicate hints (e.g. the static all-serial hint and a
-           serializing greedy schedule) cost a propagation each, so
-           evaluate each distinct assignment once. *)
-        let seen = ref [] in
-        List.iter
-          (fun h ->
-            if not (List.exists (fun p -> p = h) !seen) then begin
-              seen := h :: !seen;
-              try_warm_start st h
-            end)
-          warm_starts
-      end;
+      (* Duplicate hints (e.g. the static all-serial hint and a
+         serializing greedy schedule) cost a propagation each, so
+         evaluate each distinct assignment once. *)
+      let seen = ref [] in
+      List.iter
+        (fun h ->
+          if not (List.exists (fun p -> p = h) !seen) then begin
+            seen := h :: !seen;
+            try_warm_start st h
+          end)
+        warm_starts;
       search st;
       (true, false)
     with
@@ -704,27 +588,24 @@ let solve ?(node_budget = 2_000_000) ?deadline_seconds ?(warm_starts = []) ?(eng
   | None -> None
   | Some sol -> Some { sol with optimal = complete; nodes = st.node_count; timed_out }
 
-(* ---- propagation oracle (tests) ---- *)
+(* ---- propagation seam (tests) ---- *)
 
-let propagation_fixpoint ?(engine = Fast) t seeds =
-  let st = make_state t engine ~node_budget:max_int ~deadline:infinity in
+let propagation_fixpoint t seeds =
+  let st = make_state t ~node_budget:max_int ~deadline:infinity in
   let undo = ref [] in
-  let result =
-    Fun.protect
-      ~finally:(fun () -> undo_all st undo)
-      (fun () ->
-        try
-          propagate_root st undo;
-          List.iter
-            (fun (var, value) ->
-              do_assign st var value undo;
-              propagate st undo)
-            seeds;
-          let assigned = ref [] in
-          for v = Array.length st.assign - 1 downto 0 do
-            if st.assign.(v) >= 0 then assigned := (v, st.assign.(v) = 1) :: !assigned
-          done;
-          Some !assigned
-        with Conflict -> None)
-  in
-  result
+  Fun.protect
+    ~finally:(fun () -> undo_all st undo)
+    (fun () ->
+      try
+        propagate_root st undo;
+        List.iter
+          (fun (var, value) ->
+            do_assign st var value undo;
+            propagate st undo)
+          seeds;
+        let assigned = ref [] in
+        for v = Array.length st.assign - 1 downto 0 do
+          if st.assign.(v) >= 0 then assigned := (v, st.assign.(v) = 1) :: !assigned
+        done;
+        Some !assigned
+      with Conflict -> None)

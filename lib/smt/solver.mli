@@ -14,8 +14,10 @@
       two numeric variables — the decoherence terms, eq. 9/10).
 
     Solving is exhaustive DPLL-style branch and bound over the
-    booleans with Bellman-Ford feasibility checks and monotone lower
-    bounds; numeric values at each leaf are evaluated exactly by an
+    booleans — two-watched-literal propagation, incrementally
+    maintained scenario bounds, epoch-cached relaxations, cost-guided
+    branching and warm starts — with Bellman-Ford feasibility checks
+    and monotone lower bounds; numeric values at each leaf are evaluated exactly by an
     ASAP pass for the designated sink (the synchronized readout time)
     followed by an ALAP pass that maximizes every variable
     simultaneously.  The leaf evaluation is the true optimum whenever
@@ -27,18 +29,6 @@ type t
 type lit = { var : int; value : bool }
 (** [value] is the polarity: [{var; value = false}] is satisfied when
     [var] is assigned false. *)
-
-type engine =
-  | Fast
-      (** Two-watched-literal propagation, incrementally maintained
-          scenario bounds, epoch-cached relaxations, cost-guided
-          branching, warm starts.  The default. *)
-  | Legacy
-      (** The original search core: full clause rescan to fixpoint,
-          per-node scenario refiltering, first-unassigned branching.
-          Kept as the reference implementation for equivalence tests
-          and as the baseline for [bench/exp_sched.ml]; ignores
-          [warm_starts]. *)
 
 type solution = {
   bools : bool array;
@@ -85,7 +75,7 @@ val add_release : t -> var:int -> time:float -> unit
     [var >= time] ([time >= 0], in the problem's implicit time origin
     at 0).  Implemented as a difference edge from a lazily created
     zero-pinned base variable, so it composes with both the ASAP and
-    ALAP passes of every engine.  The windowed scheduler uses it to
+    ALAP passes of the search.  The windowed scheduler uses it to
     carry qubit-availability and crosstalk frontiers from already
     committed windows into the next window's solve. *)
 
@@ -93,7 +83,6 @@ val solve :
   ?node_budget:int ->
   ?deadline_seconds:float ->
   ?warm_starts:bool array list ->
-  ?engine:engine ->
   t ->
   solution option
 (** [None] when unsatisfiable (or when the search was cut off before
@@ -110,21 +99,20 @@ val solve :
     evaluated before the search so the incumbent prunes from the first
     node, and the search result is never worse than the best feasible
     hint.  Hints that conflict with the clauses or the difference
-    constraints are skipped.  Each hint evaluation counts as one node.
-    The [Legacy] engine ignores hints.
+    constraints are skipped.  Hint evaluations are not search nodes:
+    they do not count against [node_budget], so [~node_budget:0]
+    evaluates the hints and nothing else.
 
     [solve] is read-only on [t]: graph frames pushed during search are
     always popped (even on budget/deadline aborts), and all search
     state lives in a per-call structure, so solving the same problem
-    twice — with the same engine and hints — returns identical
-    solutions. *)
+    twice with the same hints returns identical solutions. *)
 
-val propagation_fixpoint :
-  ?engine:engine -> t -> (int * bool) list -> (int * bool) list option
-(** Test oracle: assert each seed assignment in order, running unit
-    propagation (of the chosen engine) to fixpoint after each, and
-    return the final assigned set sorted by variable — or [None] if a
-    conflict is reached.  Root-level unit clauses are propagated before
-    the seeds.  Leaves [t] unchanged.  Both engines implement the same
-    propagation relation (unit propagation has a unique fixpoint), so
-    their results must agree — the qcheck suite leans on this. *)
+val propagation_fixpoint : t -> (int * bool) list -> (int * bool) list option
+(** Test seam: assert each seed assignment in order, running the
+    search's unit propagation to fixpoint after each, and return the
+    final assigned set sorted by variable — or [None] if a conflict is
+    reached.  Root-level unit clauses are propagated before the seeds.
+    Leaves [t] unchanged.  Unit propagation has a unique fixpoint, so
+    the result must equal a plain clause-rescan fixpoint — the qcheck
+    suite leans on this. *)

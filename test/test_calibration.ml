@@ -85,6 +85,23 @@ let incremental_flagged_only () =
       | None -> Alcotest.fail "unmeasured rate dropped by the merge")
     untouched
 
+let incremental_remeasures_flagged () =
+  (* On a drifted day, every pair the previous (ground-truth) snapshot
+     flags gets a fresh rate in the merge, differing from the old one. *)
+  let pough = Core.Presets.poughkeepsie () in
+  let previous = Device.ground_truth pough in
+  let day = Core.Drift.on_day pough ~day:2 in
+  let inc = Policy.characterize_incremental ~rng:(Core.Rng.create 91) day ~previous in
+  Alcotest.(check string) "flagged-only mode" "flagged-only"
+    (Policy.incremental_mode_name inc.Policy.mode);
+  List.iter
+    (fun (e1, e2) ->
+      let before = Crosstalk.conditional previous ~target:e1 ~spectator:e2 in
+      let after = Crosstalk.conditional inc.Policy.merged ~target:e1 ~spectator:e2 in
+      Alcotest.(check bool) "entry present" true (after <> None);
+      Alcotest.(check bool) "entry re-measured" true (after <> before))
+    inc.Policy.flagged
+
 let incremental_full_fallback () =
   let device = device () in
   let rng = Core.Rng.create 12 in
@@ -428,6 +445,8 @@ let suite =
       [
         Alcotest.test_case "incremental: flagged-only cost and merge" `Quick
           incremental_flagged_only;
+        Alcotest.test_case "incremental: re-measures flagged pairs" `Slow
+          incremental_remeasures_flagged;
         Alcotest.test_case "incremental: full fallback" `Quick incremental_full_fallback;
         Alcotest.test_case "registry: ring rollback is bit-identical" `Quick
           registry_ring_rollback;

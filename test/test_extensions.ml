@@ -1,5 +1,5 @@
-(* Tests for the extension features: crosstalk-aware routing, omega
-   auto-tuning, and the Optimization-3 refresh workflow. *)
+(* Tests for the extension features: crosstalk-aware routing and omega
+   auto-tuning. *)
 
 module Device = Core.Device
 module Presets = Core.Presets
@@ -107,32 +107,6 @@ let tune_omega_rejects_empty () =
        false
      with Invalid_argument _ -> true)
 
-(* ---- Policy.refresh ---- *)
-
-let refresh_updates_flagged_pairs () =
-  let rng = Rng.create 91 in
-  (* Previous data: ground truth.  Refresh on a drifted day must
-     replace the flagged pairs' entries with fresh measurements. *)
-  let day = Core.Drift.on_day pough ~day:2 in
-  let refreshed = Core.Policy.refresh ~rng day ~previous:truth in
-  let flagged = Device.true_high_crosstalk_pairs pough ~threshold:3.0 in
-  List.iter
-    (fun (e1, e2) ->
-      let before = Crosstalk.conditional truth ~target:e1 ~spectator:e2 in
-      let after = Crosstalk.conditional refreshed ~target:e1 ~spectator:e2 in
-      Alcotest.(check bool) "entry present" true (after <> None);
-      Alcotest.(check bool) "entry re-measured" true (after <> before))
-    flagged;
-  (* Unflagged (weak) entries survive untouched. *)
-  let weak_before = Crosstalk.conditional truth ~target:(0, 1) ~spectator:(5, 6) in
-  let weak_after = Crosstalk.conditional refreshed ~target:(0, 1) ~spectator:(5, 6) in
-  Alcotest.(check bool) "weak entry kept" true (weak_after = weak_before)
-
-let refresh_noop_without_flags () =
-  let rng = Rng.create 92 in
-  let refreshed = Core.Policy.refresh ~rng pough ~previous:Crosstalk.empty in
-  Alcotest.(check int) "still empty" 0 (List.length (Crosstalk.entries refreshed))
-
 let suite =
   [
     ( "extensions.aware-routing",
@@ -147,11 +121,6 @@ let suite =
       [
         Alcotest.test_case "picks minimum" `Quick tune_omega_picks_minimum;
         Alcotest.test_case "rejects empty" `Quick tune_omega_rejects_empty;
-      ] );
-    ( "extensions.refresh",
-      [
-        Alcotest.test_case "updates flagged pairs" `Slow refresh_updates_flagged_pairs;
-        Alcotest.test_case "noop without flags" `Quick refresh_noop_without_flags;
       ] );
   ]
 

@@ -312,35 +312,14 @@ let resilient_falls_back_to_calibration () =
 (* ---- solver deadline ---- *)
 
 let solver_deadline_returns_incumbent () =
-  (* Legacy engine: 30 booleans where the false branch (tried first)
-     costs 2 and the true branch costs 1: the leftmost dive reaches a
-     leaf in ~31 nodes, before the first deadline check at node 64,
-     and every later branch can still improve the incumbent, so bound
-     pruning cannot finish the (2^30-leaf) search before the deadline
-     check.  (The fast engine's cost-guided branching dives straight
-     to the optimum here and finishes under 64 nodes — see the span
-     variant below for its deadline test.) *)
-  let s = Solver.create () in
-  for i = 0 to 29 do
-    let x = Solver.new_bool s (Printf.sprintf "x%d" i) in
-    Solver.add_cost_group s
-      [ ([ { Solver.var = x; value = true } ], 1.0); ([ { Solver.var = x; value = false } ], 2.0) ]
-  done;
-  match Solver.solve ~engine:Solver.Legacy ~deadline_seconds:0.0 s with
-  | None -> Alcotest.fail "expected a best-so-far incumbent"
-  | Some sol ->
-    Alcotest.(check bool) "timed out" true sol.Solver.timed_out;
-    Alcotest.(check bool) "not optimal" false sol.Solver.optimal;
-    Alcotest.(check bool) "incumbent within bounds" true
-      (sol.Solver.objective >= 30.0 && sol.Solver.objective <= 60.0)
-
-let solver_deadline_returns_incumbent_fast () =
-  (* Fast engine: the cost has to hide behind guarded span edges the
-     lower bound cannot anticipate (an unassigned guard contributes
-     nothing), so the leftmost all-false dive lands on the worst leaf
-     and every later true branch improves the incumbent — cost-guided
-     branching has no cost groups to steer by and bound pruning cannot
-     close the 2^30-leaf tree before the first deadline check. *)
+  (* The cost has to hide behind guarded span edges the lower bound
+     cannot anticipate (an unassigned guard contributes nothing), so
+     the leftmost all-false dive lands on the worst leaf and every
+     later true branch improves the incumbent — cost-guided branching
+     has no cost groups to steer by and bound pruning cannot close the
+     2^30-leaf tree before the first deadline check.  (With plain
+     cost groups, cost-guided branching dives straight to the optimum
+     and finishes under 64 nodes.) *)
   let s = Solver.create () in
   let origin = Solver.new_num s "origin" in
   for i = 0 to 29 do
@@ -423,23 +402,25 @@ let ladder_clustered_rung () =
 
 let ladder_budget_blowup_degrades () =
   let device, xtalk, circuit = ladder_fixture () in
-  (* Fast engine: the warm-start hints give the exact rung a feasible
-     incumbent before the first search node, so even a zero node
-     budget serves a schedule from the solver (honestly labelled
-     Incumbent) instead of falling through the ladder. *)
+  (* The warm-start hints give the exact rung a feasible incumbent
+     before the first search node, so even a zero node budget serves a
+     schedule from the solver (honestly labelled Incumbent) instead of
+     falling through the ladder. *)
   let sched, stats = Xtalk_sched.schedule ~node_budget:0 ~device ~xtalk circuit in
   check_valid sched;
   Alcotest.(check string) "warm incumbent serves the compile" "incumbent"
     (Xtalk_sched.rung_name stats.Xtalk_sched.rung);
   Alcotest.(check bool) "reported as non-optimal" false stats.Xtalk_sched.optimal;
-  (* Legacy engine has no warm starts: a zero budget reaches no leaf
-     anywhere, and the compile degrades all the way to greedy. *)
+  (* Starting at Clustered, the cluster solves still get warm
+     incumbents, but the pinned replay and then the window stitch run
+     without hints: a zero budget reaches no leaf there, and the
+     compile degrades all the way to greedy. *)
   let sched, stats =
-    Xtalk_sched.schedule ~engine:Qcx_smt.Solver.Legacy ~node_budget:0 ~device ~xtalk
+    Xtalk_sched.schedule ~ladder_start:Xtalk_sched.Clustered ~node_budget:0 ~device ~xtalk
       circuit
   in
   check_valid sched;
-  Alcotest.(check string) "legacy degrades to greedy" "greedy"
+  Alcotest.(check string) "hintless replay degrades to greedy" "greedy"
     (Xtalk_sched.rung_name stats.Xtalk_sched.rung)
 
 let ladder_deadline_degrades () =
@@ -537,8 +518,6 @@ let suite =
     ( "faults.solver",
       [
         Alcotest.test_case "deadline returns incumbent" `Quick solver_deadline_returns_incumbent;
-        Alcotest.test_case "deadline returns incumbent (fast)" `Quick
-          solver_deadline_returns_incumbent_fast;
         Alcotest.test_case "loose deadline completes" `Quick solver_deadline_completes_when_loose;
       ] );
     ( "faults.ladder",

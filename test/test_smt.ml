@@ -298,31 +298,92 @@ let prop_alap_dominates_asap =
         | None -> false
         | Some hi -> Array.for_all2 (fun l h -> h +. 1e-6 >= l) lo hi))
 
-(* ---- fast engine vs the legacy reference ---- *)
+(* ---- oracles: rescan propagation, exhaustive enumeration ---- *)
+
+(* Reference unit propagation over the test's own clause lists: rescan
+   every clause until nothing changes.  Same contract as
+   [Solver.propagation_fixpoint] — root units first, then each seed
+   followed by propagation; [None] on a conflict, else the assigned set
+   sorted by variable.  Duplicate literals stay distinct occurrences,
+   so a clause like [x; x] never forces [x]. *)
+let rescan_fixpoint nvars clauses seeds =
+  let assign = Array.make nvars None in
+  let set (v, b) =
+    match assign.(v) with Some b' -> if b <> b' then raise Exit | None -> assign.(v) <- Some b
+  in
+  let propagate () =
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun clause ->
+          if not (List.exists (fun (v, b) -> assign.(v) = Some b) clause) then
+            match List.filter (fun (v, _) -> assign.(v) = None) clause with
+            | [] -> raise Exit
+            | [ l ] ->
+              set l;
+              changed := true
+            | _ -> ())
+        clauses
+    done
+  in
+  try
+    propagate ();
+    List.iter
+      (fun seed ->
+        set seed;
+        propagate ())
+      seeds;
+    Some
+      (List.filter_map
+         (fun v -> Option.map (fun b -> (v, b)) assign.(v))
+         (List.init nvars Fun.id))
+  with Exit -> None
+
+(* Exhaustive optimum: the best objective over all 2^(nbools s) full
+   assignments, each evaluated as a warm-start hint under a zero node
+   budget (hints are evaluated before the search and do not count
+   against the budget).  [None] when no assignment is feasible. *)
+let brute_force_optimum s =
+  let n = Solver.nbools s in
+  let best = ref None in
+  for mask = 0 to (1 lsl n) - 1 do
+    let a = Array.init n (fun v -> mask land (1 lsl v) <> 0) in
+    match (Solver.solve ~node_budget:0 ~warm_starts:[ a ] s, !best) with
+    | None, _ -> ()
+    | Some sol, Some b when b <= sol.Solver.objective -> ()
+    | Some sol, _ -> best := Some sol.Solver.objective
+  done;
+  !best
+
+let matches_enumeration s =
+  match (Solver.solve s, brute_force_optimum s) with
+  | None, None -> true
+  | Some sol, Some opt ->
+    sol.Solver.optimal && Float.abs (sol.Solver.objective -. opt) < 1e-9
+  | _ -> false
 
 let propagation_unit_chain () =
   let s = Solver.create () in
   let x0 = Solver.new_bool s "x0" in
   let x1 = Solver.new_bool s "x1" in
   let x2 = Solver.new_bool s "x2" in
-  Solver.add_clause s [ lit x0 false; lit x1 true ];
-  Solver.add_clause s [ lit x1 false; lit x2 true ];
+  let clauses = [ [ (x0, false); (x1, true) ]; [ (x1, false); (x2, true) ] ] in
+  List.iter (fun c -> Solver.add_clause s (List.map (fun (v, p) -> lit v p) c)) clauses;
   let expect = Some [ (x0, true); (x1, true); (x2, true) ] in
-  Alcotest.(check bool) "fast chain" true
-    (Solver.propagation_fixpoint ~engine:Solver.Fast s [ (x0, true) ] = expect);
-  Alcotest.(check bool) "legacy chain" true
-    (Solver.propagation_fixpoint ~engine:Solver.Legacy s [ (x0, true) ] = expect);
-  (* Conflicting seeds: both engines must report the conflict. *)
-  Alcotest.(check bool) "fast conflict" true
-    (Solver.propagation_fixpoint ~engine:Solver.Fast s [ (x0, true); (x2, false) ] = None);
-  Alcotest.(check bool) "legacy conflict" true
-    (Solver.propagation_fixpoint ~engine:Solver.Legacy s [ (x0, true); (x2, false) ]
-    = None)
+  Alcotest.(check bool) "watched chain" true
+    (Solver.propagation_fixpoint s [ (x0, true) ] = expect);
+  Alcotest.(check bool) "rescan chain" true (rescan_fixpoint 3 clauses [ (x0, true) ] = expect);
+  (* Conflicting seeds: both must report the conflict. *)
+  Alcotest.(check bool) "watched conflict" true
+    (Solver.propagation_fixpoint s [ (x0, true); (x2, false) ] = None);
+  Alcotest.(check bool) "rescan conflict" true
+    (rescan_fixpoint 3 clauses [ (x0, true); (x2, false) ] = None)
 
 (* Unit propagation has a unique fixpoint, so the two-watched-literal
-   scheme and the seed full-rescan scheme must agree on arbitrary
-   clause sets — including duplicate literals within a clause, which
-   the watch scheme must treat as distinct occurrences. *)
+   scheme and a full clause rescan must agree on arbitrary clause sets
+   — including duplicate literals within a clause, which the watch
+   scheme must treat as distinct occurrences. *)
 let prop_propagation_fixpoint_equivalence =
   let gen =
     QCheck.Gen.(
@@ -353,45 +414,122 @@ let prop_propagation_fixpoint_equivalence =
       List.iter
         (fun c -> Solver.add_clause s (List.map (fun (v, p) -> lit vars.(v) p) c))
         clauses;
-      Solver.propagation_fixpoint ~engine:Solver.Fast s seeds
-      = Solver.propagation_fixpoint ~engine:Solver.Legacy s seeds)
+      Solver.propagation_fixpoint s seeds = rescan_fixpoint nvars clauses seeds)
 
-(* Both engines implement the same optimization problem: equal optima
-   on random instances mixing clauses, cost groups and guarded spans. *)
-let prop_engines_agree_on_optimum =
-  QCheck.Test.make ~name:"fast and legacy engines find the same optimum" ~count:60
-    QCheck.(list_of_size (Gen.return 8) (float_range 0.1 10.0))
-    (fun costs ->
-      let build () =
-        let s = Solver.create () in
-        let b0 = Solver.new_bool s "b0" in
-        let b1 = Solver.new_bool s "b1" in
-        let b2 = Solver.new_bool s "b2" in
-        let a = Solver.new_num s "a" and b = Solver.new_num s "b" in
-        Solver.add_sink s b;
-        let cost k = List.nth costs k in
-        Solver.add_diff s ~dst:b ~src:a ~weight:1.0 ();
-        Solver.add_diff s ~guard:(lit b0 true) ~dst:b ~src:a ~weight:(cost 0 +. 1.0) ();
-        Solver.add_span_cost s ~weight:1.0 ~last:b ~first:a;
-        Solver.add_cost_group s [ ([ lit b0 true ], cost 1); ([ lit b0 false ], cost 2) ];
-        Solver.add_cost_group s
-          [
-            ([ lit b1 true; lit b2 true ], cost 3);
-            ([ lit b1 true; lit b2 false ], cost 4);
-            ([ lit b1 false; lit b2 true ], cost 5);
-            ([ lit b1 false; lit b2 false ], cost 6);
-          ];
-        Solver.add_clause s [ lit b1 true; lit b2 true ];
-        s
+(* The search against exhaustive enumeration on random instances
+   mixing clauses (dense enough that the search backtracks through
+   propagation conflicts), exhaustive cost groups over one or two
+   booleans, guarded difference edges (two-variable positive cycles
+   make some assignments infeasible) and span costs ending at the
+   sink. *)
+let prop_search_matches_enumeration =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 7 >>= fun nb ->
+      int_range 1 3 >>= fun nn ->
+      let blit = pair (int_range 0 (nb - 1)) bool in
+      let cost = float_range 0.0 10.0 in
+      list_size (int_range 2 14) (list_size (int_range 2 3) blit) >>= fun clauses ->
+      list_size (int_range 0 6)
+        (quad blit (int_range 0 (nn - 1)) (int_range 0 (nn - 1)) (float_range 0.0 5.0))
+      >>= fun guarded ->
+      list_size (int_range 1 4)
+        (pair (pair (int_range 0 (nb - 1)) (int_range 0 (nb - 1))) (list_repeat 4 cost))
+      >>= fun groups ->
+      list_repeat nn (pair (float_range 0.5 3.0) (float_range 0.0 1.0)) >>= fun nums ->
+      return (nb, clauses, guarded, groups, nums))
+  in
+  QCheck.Test.make ~name:"search matches exhaustive enumeration" ~count:1000 (QCheck.make gen)
+    (fun (nb, clauses, guarded, groups, nums) ->
+      let s = Solver.create () in
+      let b = Array.init nb (fun i -> Solver.new_bool s (string_of_int i)) in
+      let t =
+        Array.of_list (List.mapi (fun i _ -> Solver.new_num s (Printf.sprintf "t%d" i)) nums)
       in
-      match
-        ( Solver.solve ~engine:Solver.Fast (build ()),
-          Solver.solve ~engine:Solver.Legacy (build ()) )
-      with
-      | Some f, Some l ->
-        f.Solver.optimal && l.Solver.optimal
-        && Float.abs (f.Solver.objective -. l.Solver.objective) < 1e-9
-      | _ -> false)
+      let r = Solver.new_num s "r" in
+      Solver.add_sink s r;
+      List.iteri
+        (fun i (dur, w) ->
+          Solver.add_diff s ~dst:r ~src:t.(i) ~weight:dur ();
+          Solver.add_span_cost s ~weight:w ~last:r ~first:t.(i))
+        nums;
+      List.iter
+        (fun c -> Solver.add_clause s (List.map (fun (v, p) -> lit b.(v) p) c))
+        clauses;
+      List.iter
+        (fun ((v, p), dst, src, weight) ->
+          if dst <> src then
+            Solver.add_diff s ~guard:(lit b.(v) p) ~dst:t.(dst) ~src:t.(src) ~weight ())
+        guarded;
+      List.iter
+        (fun ((u, v), costs) ->
+          let cost k = List.nth costs k in
+          if u = v then
+            Solver.add_cost_group s
+              [ ([ lit b.(u) true ], cost 0); ([ lit b.(u) false ], cost 1) ]
+          else
+            Solver.add_cost_group s
+              [
+                ([ lit b.(u) true; lit b.(v) true ], cost 0);
+                ([ lit b.(u) true; lit b.(v) false ], cost 1);
+                ([ lit b.(u) false; lit b.(v) true ], cost 2);
+                ([ lit b.(u) false; lit b.(v) false ], cost 3);
+              ])
+        groups;
+      matches_enumeration s)
+
+(* A conflict mid-way through a watch list must keep the rest of the
+   list.  Branching runs v, u, x, q (equal cost spreads, index order),
+   cheaper value first.  Under [v = u = false], [x = true] forces [y]
+   and conflicts on [-x; -y; v], and then [q = true] forces [s] and
+   conflicts on [-q; -s; u]; each conflict leaves [-x; -q] unvisited
+   behind it, once per watched literal.  Were those watchers dropped,
+   the clause would go unwatched and the [v = u = x = q = true] leaf
+   would be recorded at cost 2, below the true optimum of 11. *)
+let conflict_keeps_watchers () =
+  let s = Solver.create () in
+  let v = Solver.new_bool s "v" and u = Solver.new_bool s "u" in
+  let x = Solver.new_bool s "x" and q = Solver.new_bool s "q" in
+  let y = Solver.new_bool s "y" and sv = Solver.new_bool s "s" in
+  Solver.add_clause s [ lit x false; lit y true ];
+  Solver.add_clause s [ lit x false; lit y false; lit v true ];
+  Solver.add_clause s [ lit q false; lit sv true ];
+  Solver.add_clause s [ lit q false; lit sv false; lit u true ];
+  Solver.add_clause s [ lit x false; lit q false ];
+  let group a b =
+    Solver.add_cost_group s
+      [
+        ([ lit a false; lit b true ], 0.0);
+        ([ lit a false; lit b false ], 10.0);
+        ([ lit a true; lit b true ], 1.0);
+        ([ lit a true; lit b false ], 11.0);
+      ]
+  in
+  group v x;
+  group u q;
+  Alcotest.(check (option (float 1e-9))) "enumerated optimum" (Some 11.0)
+    (brute_force_optimum s);
+  Alcotest.(check bool) "search matches enumeration" true (matches_enumeration s)
+
+(* The same oracle on a real scheduler encoding: the ladder fixture's
+   interfering pairs, with synchronized readout, at several omegas. *)
+let scheduler_encoding_matches_enumeration () =
+  let device, xtalk, circuit = Test_faults.ladder_fixture () in
+  let circuit = Core.Circuit.measure_all circuit in
+  let dag = Core.Dag.of_circuit circuit in
+  let durations = Core.Durations.assign device circuit in
+  List.iter
+    (fun omega ->
+      let enc =
+        Core.Encoding.build ~device ~xtalk ~omega ~threshold:3.0 ~dag ~durations ()
+      in
+      let s = enc.Core.Encoding.solver in
+      Alcotest.(check bool) "has pairs" true (enc.Core.Encoding.pairs <> []);
+      Alcotest.(check bool) "small enough to enumerate" true (Solver.nbools s <= 14);
+      Alcotest.(check bool)
+        (Printf.sprintf "omega %.1f: optimum equals enumeration" omega)
+        true (matches_enumeration s))
+    [ 0.0; 0.2; 0.5; 0.8 ]
 
 let warm_start_never_worse () =
   (* Ten independent booleans, true cheaper than false.  The all-false
@@ -432,8 +570,8 @@ let infeasible_warm_start_skipped () =
   | None -> Alcotest.fail "satisfiable"
 
 let solve_is_repeatable () =
-  (* [solve] is read-only on the problem: same [t], same engine, same
-     hints => identical solutions, node counts included. *)
+  (* [solve] is read-only on the problem: same [t], same hints =>
+     identical solutions, node counts included. *)
   let s = Solver.create () in
   let b0 = Solver.new_bool s "b0" and b1 = Solver.new_bool s "b1" in
   let a = Solver.new_num s "a" and b = Solver.new_num s "b" in
@@ -443,17 +581,13 @@ let solve_is_repeatable () =
   Solver.add_span_cost s ~weight:1.0 ~last:b ~first:a;
   Solver.add_cost_group s [ ([ lit b0 true ], 0.5); ([ lit b0 false ], 3.0) ];
   Solver.add_cost_group s [ ([ lit b1 true ], 1.0); ([ lit b1 false ], 2.0) ];
-  List.iter
-    (fun engine ->
-      match (Solver.solve ~engine s, Solver.solve ~engine s) with
-      | Some s1, Some s2 ->
-        Alcotest.(check bool) "bools equal" true (s1.Solver.bools = s2.Solver.bools);
-        Alcotest.(check bool) "nums equal" true (s1.Solver.nums = s2.Solver.nums);
-        Alcotest.(check (float 0.0)) "objective equal" s1.Solver.objective
-          s2.Solver.objective;
-        Alcotest.(check int) "node count equal" s1.Solver.nodes s2.Solver.nodes
-      | _ -> Alcotest.fail "satisfiable")
-    [ Solver.Fast; Solver.Legacy ]
+  match (Solver.solve s, Solver.solve s) with
+  | Some s1, Some s2 ->
+    Alcotest.(check bool) "bools equal" true (s1.Solver.bools = s2.Solver.bools);
+    Alcotest.(check bool) "nums equal" true (s1.Solver.nums = s2.Solver.nums);
+    Alcotest.(check (float 0.0)) "objective equal" s1.Solver.objective s2.Solver.objective;
+    Alcotest.(check int) "node count equal" s1.Solver.nodes s2.Solver.nodes
+  | _ -> Alcotest.fail "satisfiable"
 
 let suite =
   suite
@@ -467,7 +601,10 @@ let suite =
         [
           Alcotest.test_case "propagation unit chain" `Quick propagation_unit_chain;
           QCheck_alcotest.to_alcotest prop_propagation_fixpoint_equivalence;
-          QCheck_alcotest.to_alcotest prop_engines_agree_on_optimum;
+          QCheck_alcotest.to_alcotest prop_search_matches_enumeration;
+          Alcotest.test_case "conflict keeps watchers" `Quick conflict_keeps_watchers;
+          Alcotest.test_case "scheduler encoding matches enumeration" `Quick
+            scheduler_encoding_matches_enumeration;
           Alcotest.test_case "warm start never worse" `Quick warm_start_never_worse;
           Alcotest.test_case "infeasible warm start skipped" `Quick
             infeasible_warm_start_skipped;
