@@ -2,16 +2,15 @@
    paper's evaluation (see DESIGN.md section 4 for the index), plus
    Bechamel microbenchmarks of the underlying kernels.
 
-   Usage:
+   Usage (every flag from --list on selects one standalone mode, and
+   the [modes] table below maps each to its runner and flag defaults;
+   with none of them the paper's experiments run):
      dune exec bench/main.exe                 # all experiments, quick settings
      dune exec bench/main.exe -- --full       # paper-scale trial counts (slow)
      dune exec bench/main.exe -- --only fig5  # one experiment
-     dune exec bench/main.exe -- --list       # available experiment ids
      dune exec bench/main.exe -- --no-bechamel
+     dune exec bench/main.exe -- --list       # available experiment ids
      dune exec bench/main.exe -- --bench-exec  # executor throughput -> BENCH_exec.json
-     dune exec bench/main.exe -- --soak --days 10 --seed 7   # fault-injected soak
-       (more soak flags: --jobs N --soak-device NAME --no-faults --soak-dir DIR
-        --out FILE; writes SOAK.json)
      dune exec bench/main.exe -- --serve-bench --requests 160 --seed 7 --jobs 4
        (seeded skewed compile workload against the serving layer;
         writes BENCH_serve.json)
@@ -75,119 +74,101 @@
 let experiments =
   [ "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "tab1"; "scale"; "ablation" ]
 
+(* [--name value] lookups over the command line; a missing flag takes
+   its default. *)
+let int_flag args name default =
+  let rec find = function
+    | flag :: v :: _ when flag = name -> (
+      match int_of_string_opt v with
+      | Some n -> n
+      | None ->
+        Printf.eprintf "%s expects an integer, got %s\n" name v;
+        exit 2)
+    | _ :: rest -> find rest
+    | [] -> default
+  in
+  find args
+
+let str_flag args name default =
+  let rec find = function
+    | flag :: v :: _ when flag = name -> v
+    | _ :: rest -> find rest
+    | [] -> default
+  in
+  find args
+
+(* Standalone modes: the first entry whose flag is on the command line
+   runs, then the harness exits.  Without any of them the paper's
+   experiments run. *)
+let modes args =
+  let int_flag = int_flag args and str_flag = str_flag args in
+  let smoke = List.mem "--smoke" args in
+  [
+    ("--list", fun () -> List.iter print_endline experiments);
+    ("--bench-exec", Microbench.bench_exec_json);
+    ( "--fleet-bench",
+      fun () ->
+        Exp_fleet.run ~smoke ~jobs:(int_flag "--jobs" 2)
+          ~dir:(str_flag "--fleet-dir" "fleet-scratch")
+          ~out:(str_flag "--out" "BENCH_fleet.json") );
+    ( "--fleet-drill",
+      fun () ->
+        Exp_fleet.drill
+          ~socket:(str_flag "--socket" "qcx-serve.sock")
+          ~shards:(int_flag "--shards" 3)
+          ~timeout:(float_of_int (int_flag "--timeout" 30)) );
+    ( "--mitig-bench",
+      fun () ->
+        Exp_mitig.run ~smoke ~jobs:(int_flag "--jobs" 4) ~seed:(int_flag "--seed" 7)
+          ~trials:(int_flag "--trials" 0)
+          ~out:(str_flag "--out" "BENCH_mitig.json") );
+    ( "--drift-bench",
+      fun () ->
+        Exp_drift.run ~days:(int_flag "--days" 20) ~seed:(int_flag "--seed" 7)
+          ~dir:(str_flag "--drift-dir" "drift-scratch")
+          ~out:(str_flag "--out" "BENCH_drift.json")
+          ~smoke );
+    ( "--drift-drill",
+      fun () ->
+        Exp_drift.drill
+          ~socket:(str_flag "--socket" "qcx-serve.sock")
+          ~device_name:(str_flag "--device" "example6q") );
+    ( "--bench-scale",
+      fun () ->
+        Exp_scale.bench ~smoke ~jobs:(int_flag "--jobs" 4)
+          ~out:(str_flag "--out" "BENCH_scale.json") );
+    ( "--bench-sched",
+      fun () ->
+        Exp_sched.run ~smoke ~jobs:(int_flag "--jobs" 4) ~repeats:(int_flag "--repeats" 5)
+          ~out:(str_flag "--out" "BENCH_sched.json") );
+    ( "--chaos-bench",
+      fun () ->
+        Exp_chaos.run ~seeds:(int_flag "--seeds" 20) ~requests:(int_flag "--requests" 60)
+          ~jobs:(int_flag "--jobs" 2)
+          ~dir:(str_flag "--chaos-dir" "chaos-scratch")
+          ~out:(str_flag "--out" "BENCH_chaos.json") );
+    ( "--chaos-client",
+      fun () ->
+        Exp_chaos.client
+          ~socket:(str_flag "--socket" "qcx-serve.sock")
+          ~mode:(str_flag "--mode" "record")
+          ~file:(str_flag "--file" "chaos-expected.json")
+          ~requests:(int_flag "--requests" 24) ~seed:(int_flag "--seed" 7)
+          ~min_cached:(int_flag "--min-cached" 0) );
+    ( "--serve-bench",
+      fun () ->
+        Exp_serve.run ~seed:(int_flag "--seed" 7) ~requests:(int_flag "--requests" 160)
+          ~jobs:(int_flag "--jobs" 4) ~smoke
+          ~out:(str_flag "--out" "BENCH_serve.json") );
+  ]
+
 let () =
   let args = Array.to_list Sys.argv in
-  if List.mem "--list" args then begin
-    List.iter print_endline experiments;
+  (match List.find_opt (fun (flag, _) -> List.mem flag args) (modes args) with
+  | Some (_, run) ->
+    run ();
     exit 0
-  end;
-  if List.mem "--bench-exec" args then begin
-    (* wall-clock executor throughput only; writes BENCH_exec.json *)
-    Microbench.bench_exec_json ();
-    exit 0
-  end;
-  if
-    List.mem "--soak" args || List.mem "--serve-bench" args
-    || List.mem "--chaos-bench" args || List.mem "--chaos-client" args
-    || List.mem "--bench-sched" args || List.mem "--bench-scale" args
-    || List.mem "--drift-bench" args || List.mem "--drift-drill" args
-    || List.mem "--mitig-bench" args || List.mem "--fleet-bench" args
-    || List.mem "--fleet-drill" args
-  then begin
-    let int_flag name default =
-      let rec find = function
-        | flag :: v :: _ when flag = name -> (
-          match int_of_string_opt v with
-          | Some n -> n
-          | None ->
-            Printf.eprintf "%s expects an integer, got %s\n" name v;
-            exit 2)
-        | _ :: rest -> find rest
-        | [] -> default
-      in
-      find args
-    in
-    let str_flag name default =
-      let rec find = function
-        | flag :: v :: _ when flag = name -> v
-        | _ :: rest -> find rest
-        | [] -> default
-      in
-      find args
-    in
-    if List.mem "--fleet-bench" args then
-      Exp_fleet.run
-        ~smoke:(List.mem "--smoke" args)
-        ~jobs:(int_flag "--jobs" 2)
-        ~dir:(str_flag "--fleet-dir" "fleet-scratch")
-        ~out:(str_flag "--out" "BENCH_fleet.json")
-    else if List.mem "--fleet-drill" args then
-      Exp_fleet.drill
-        ~socket:(str_flag "--socket" "qcx-serve.sock")
-        ~shards:(int_flag "--shards" 3)
-        ~timeout:(float_of_int (int_flag "--timeout" 30))
-    else if List.mem "--mitig-bench" args then
-      Exp_mitig.run
-        ~smoke:(List.mem "--smoke" args)
-        ~jobs:(int_flag "--jobs" 4)
-        ~seed:(int_flag "--seed" 7)
-        ~trials:(int_flag "--trials" 0)
-        ~out:(str_flag "--out" "BENCH_mitig.json")
-    else if List.mem "--drift-bench" args then
-      Exp_drift.run
-        ~days:(int_flag "--days" 20)
-        ~seed:(int_flag "--seed" 7)
-        ~dir:(str_flag "--drift-dir" "drift-scratch")
-        ~out:(str_flag "--out" "BENCH_drift.json")
-        ~smoke:(List.mem "--smoke" args)
-    else if List.mem "--drift-drill" args then
-      Exp_drift.drill
-        ~socket:(str_flag "--socket" "qcx-serve.sock")
-        ~device_name:(str_flag "--device" "example6q")
-    else if List.mem "--bench-scale" args then
-      Exp_scale.bench
-        ~smoke:(List.mem "--smoke" args)
-        ~jobs:(int_flag "--jobs" 4)
-        ~out:(str_flag "--out" "BENCH_scale.json")
-    else if List.mem "--bench-sched" args then
-      Exp_sched.run
-        ~smoke:(List.mem "--smoke" args)
-        ~jobs:(int_flag "--jobs" 4)
-        ~repeats:(int_flag "--repeats" 5)
-        ~out:(str_flag "--out" "BENCH_sched.json")
-    else if List.mem "--chaos-bench" args then
-      Exp_chaos.run
-        ~seeds:(int_flag "--seeds" 20)
-        ~requests:(int_flag "--requests" 60)
-        ~jobs:(int_flag "--jobs" 2)
-        ~dir:(str_flag "--chaos-dir" "chaos-scratch")
-        ~out:(str_flag "--out" "BENCH_chaos.json")
-    else if List.mem "--chaos-client" args then
-      Exp_chaos.client
-        ~socket:(str_flag "--socket" "qcx-serve.sock")
-        ~mode:(str_flag "--mode" "record")
-        ~file:(str_flag "--file" "chaos-expected.json")
-        ~requests:(int_flag "--requests" 24)
-        ~seed:(int_flag "--seed" 7)
-        ~min_cached:(int_flag "--min-cached" 0)
-    else if List.mem "--serve-bench" args then
-      Exp_serve.run
-        ~seed:(int_flag "--seed" 7)
-        ~requests:(int_flag "--requests" 160)
-        ~jobs:(int_flag "--jobs" 4)
-        ~smoke:(List.mem "--smoke" args)
-        ~out:(str_flag "--out" "BENCH_serve.json")
-    else
-      Exp_soak.run
-        ~days:(int_flag "--days" 10)
-        ~seed:(int_flag "--seed" 7)
-        ~jobs:(int_flag "--jobs" 1)
-        ~device_name:(str_flag "--soak-device" "example6q")
-        ~faults:(not (List.mem "--no-faults" args))
-        ~dir:(str_flag "--soak-dir" "soak-snapshots")
-        ~out:(str_flag "--out" "SOAK.json");
-    exit 0
-  end;
+  | None -> ());
   let quality = if List.mem "--full" args then Ctx.Full else Ctx.Quick in
   let only =
     let rec find = function

@@ -1,8 +1,6 @@
 #!/bin/sh
 # CI entry point: typecheck, build everything, run the test suite and
 # its per-area aliases, then these end-to-end smoke tests, in order:
-#   - a 2-day fault-injected mini soak (fails on any compile loss or
-#     ingested corruption);
 #   - one compile request served through the qcx_serve --once NDJSON
 #     path;
 #   - a chaos crash-recovery drill (kill -9 the daemon mid-load,
@@ -54,9 +52,6 @@ cleanup() {
   rm -rf "$SCRATCH"
 }
 trap cleanup EXIT
-
-dune exec bench/main.exe -- --soak --days 2 --seed 7 \
-  --soak-dir "$SCRATCH/snapshots" --out "$SCRATCH/SOAK.json"
 
 # Serving-layer smoke test: one compile request in --once mode must
 # come back with status ok and a schedule.

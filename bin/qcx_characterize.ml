@@ -60,7 +60,7 @@ let run_incremental device seed jobs threshold fault_seed fault_day path output 
   let previous = load_snapshot device path in
   let inject =
     Option.map
-      (fun s -> Core.Fault_plan.inject (Core.Fault_plan.create ~seed:s ()) ~day:fault_day)
+      (fun s -> Core.Fault_plan.inject (Core.Fault_plan.create ~seed:s) ~day:fault_day)
       fault_seed
   in
   let inc =
@@ -125,7 +125,7 @@ let run_plain device seed jobs threshold policy_name resilient fault_seed fault_
     else begin
       let inject =
         Option.map
-          (fun s -> Core.Fault_plan.inject (Core.Fault_plan.create ~seed:s ()) ~day:fault_day)
+          (fun s -> Core.Fault_plan.inject (Core.Fault_plan.create ~seed:s) ~day:fault_day)
           fault_seed
       in
       let prev =

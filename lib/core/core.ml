@@ -51,7 +51,6 @@ module Qaoa = Qcx_benchmarks.Qaoa
 module Hidden_shift = Qcx_benchmarks.Hidden_shift
 module Supremacy = Qcx_benchmarks.Supremacy
 module Fault_plan = Qcx_faults.Fault_plan
-module Soak = Qcx_faults.Soak
 module Service_faults = Qcx_faults.Service_faults
 module Canon = Qcx_serve.Canon
 module Wire = Qcx_serve.Wire

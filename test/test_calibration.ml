@@ -15,6 +15,7 @@ module Crosstalk = Core.Crosstalk
 module Device = Core.Device
 module Store = Core.Store
 module Circuit = Core.Circuit
+module Fault_plan = Core.Fault_plan
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 let device () = Core.Presets.example_6q ()
@@ -254,6 +255,25 @@ let canary_flake_never_strands_bad_epoch () =
 
 (* ---- crash mid-promotion: satellite 3 ---- *)
 
+(* A process start: register "dev" on the device's ground truth, then
+   rebuild its epoch and ring from the calibration directory. *)
+let boot ~dir device =
+  let reg = Registry.create () in
+  ignore (Registry.add_static reg ~id:"dev" ~device ~xtalk:(Device.ground_truth device));
+  let cal = Calibrator.create ~dir reg in
+  let recovered = Calibrator.recover cal in
+  (reg, cal, recovered)
+
+(* Force calibration cycles from [day] on until one promotes; returns
+   the new epoch and the day after it. *)
+let rec promote_from cal ~day ~last =
+  if day > last then Alcotest.failf "no forced cycle promoted by day %d" last
+  else
+    match Calibrator.calibrate ~force:true cal ~id:"dev" ~day with
+    | Ok (Calibrator.Promoted { new_epoch; _ }) -> (new_epoch, day + 1)
+    | Ok _ -> promote_from cal ~day:(day + 1) ~last
+    | Error e -> Alcotest.fail e
+
 let crash_mid_promotion () =
   let device = device () in
   let dir = fresh_dir "qcx-test-calib-crash" in
@@ -261,27 +281,9 @@ let crash_mid_promotion () =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ cache_file; cache_file ^ ".journal" ];
-  let xtalk0 = Device.ground_truth device in
-  let boot () =
-    let reg = Registry.create () in
-    ignore (Registry.add_static reg ~id:"dev" ~device ~xtalk:xtalk0);
-    let cal = Calibrator.create ~dir reg in
-    ignore (Calibrator.recover cal);
-    (reg, cal)
-  in
-  let reg, cal = boot () in
+  let reg, cal, _ = boot ~dir device in
   (* establish a promoted epoch so the ring pointer exists on disk *)
-  let promoted_epoch =
-    let rec go day =
-      if day > 6 then Alcotest.fail "no forced cycle promoted within 6 days"
-      else
-        match Calibrator.calibrate ~force:true cal ~id:"dev" ~day with
-        | Ok (Calibrator.Promoted { new_epoch; _ }) -> new_epoch
-        | Ok _ -> go (day + 1)
-        | Error e -> Alcotest.fail e
-    in
-    go 1
-  in
+  let promoted_epoch, _ = promote_from cal ~day:1 ~last:6 in
   (* warm a journaled cache under that epoch *)
   let service = Service.create reg in
   Result.get_ok (Service.enable_persistence service ~cache_file ~fsync:false ());
@@ -301,7 +303,7 @@ let crash_mid_promotion () =
        cal ~id:"dev" ~day:7
    with
   | Ok (Calibrator.Crashed { stage = Calibrator.Before_commit; candidate_epoch }) ->
-    let reg2, cal2 = boot () in
+    let reg2, cal2, _ = boot ~dir device in
     let e = Option.get (Registry.find reg2 "dev") in
     Alcotest.(check string) "pre-commit crash recovers the old epoch" promoted_epoch
       e.Registry.epoch;
@@ -319,7 +321,7 @@ let crash_mid_promotion () =
          cal2 ~id:"dev" ~day:8
      with
     | Ok (Calibrator.Crashed { stage = Calibrator.After_commit; candidate_epoch }) ->
-      let reg3, _cal3 = boot () in
+      let reg3, _, _ = boot ~dir device in
       let e3 = Option.get (Registry.find reg3 "dev") in
       Alcotest.(check string) "post-commit crash recovers the new epoch" candidate_epoch
         e3.Registry.epoch;
@@ -338,6 +340,83 @@ let crash_mid_promotion () =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ cache_file; cache_file ^ ".journal" ]
+
+(* ---- recovery never ingests a damaged epoch file ---- *)
+
+let recover_skips_damaged_epoch_files () =
+  let device = device () in
+  let dir = fresh_dir "qcx-test-calib-damaged" in
+  let reg, cal, _ = boot ~dir device in
+  let registration_epoch = (Option.get (Registry.find reg "dev")).Registry.epoch in
+  (* two promotions, so the ring holds the first promoted epoch and the
+     registration epoch *)
+  let _, day = promote_from cal ~day:1 ~last:8 in
+  let current, _ = promote_from cal ~day ~last:(day + 8) in
+  let before = Option.get (Registry.find reg "dev") in
+  Alcotest.(check string) "registry on the second promotion" current before.Registry.epoch;
+  Alcotest.(check int) "two ring epochs" 2 (List.length before.Registry.ring);
+  let epoch_path digest = Filename.concat dir ("dev.epoch-" ^ digest ^ ".json") in
+  let with_damaged digest damage check =
+    let path = epoch_path digest in
+    let ic = open_in_bin path in
+    let intact = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let write contents =
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc
+    in
+    write (damage intact);
+    Fun.protect ~finally:(fun () -> write intact) check
+  in
+  let damagers =
+    [
+      ("truncated", Fault_plan.truncate_string ~rng:(Core.Rng.create 21));
+      ("bit-flipped", Fault_plan.bitflip_string ~rng:(Core.Rng.create 22));
+    ]
+  in
+  List.iter
+    (fun (how, damage) ->
+      (* current epoch damaged: the device is not recovered and stays on
+         its registration epoch with an empty ring *)
+      with_damaged current damage (fun () ->
+          let reg2, _, recovered = boot ~dir device in
+          Alcotest.(check bool)
+            (how ^ " current epoch: device not recovered")
+            false
+            (List.exists (fun (r : Calibrator.recovered) -> r.Calibrator.id = "dev") recovered);
+          let e = Option.get (Registry.find reg2 "dev") in
+          Alcotest.(check string)
+            (how ^ " current epoch: registration epoch kept")
+            registration_epoch e.Registry.epoch;
+          Alcotest.(check int) (how ^ " current epoch: empty ring") 0
+            (List.length e.Registry.ring));
+      (* a ring epoch damaged: that epoch is dropped, the current epoch
+         and the other ring epoch come back bit-identically *)
+      List.iter
+        (fun (victim, _) ->
+          with_damaged victim damage (fun () ->
+              let reg2, _, recovered = boot ~dir device in
+              Alcotest.(check (list string))
+                (how ^ " ring epoch: device recovered")
+                [ "dev" ]
+                (List.map (fun (r : Calibrator.recovered) -> r.Calibrator.id) recovered);
+              let e = Option.get (Registry.find reg2 "dev") in
+              Alcotest.(check string) (how ^ " ring epoch: current epoch kept") current
+                e.Registry.epoch;
+              Alcotest.(check string) (how ^ " ring epoch: current bytes")
+                (xbytes before.Registry.xtalk) (xbytes e.Registry.xtalk);
+              let survivors = List.filter (fun (d, _) -> d <> victim) before.Registry.ring in
+              Alcotest.(check (list string))
+                (how ^ " ring epoch: damaged epoch dropped")
+                (List.map fst survivors) (List.map fst e.Registry.ring);
+              List.iter2
+                (fun (_, x) (_, x') ->
+                  Alcotest.(check string) (how ^ " ring epoch: survivor bytes") (xbytes x)
+                    (xbytes x'))
+                survivors e.Registry.ring))
+        before.Registry.ring)
+    damagers
 
 (* ---- health surfacing: satellite 2 ---- *)
 
@@ -458,6 +537,8 @@ let suite =
           canary_flake_never_strands_bad_epoch;
         Alcotest.test_case "crash mid-promotion recovers consistently" `Quick
           crash_mid_promotion;
+        Alcotest.test_case "recover never ingests a damaged epoch file" `Quick
+          recover_skips_damaged_epoch_files;
         Alcotest.test_case "health: staleness and warnings surfaced" `Quick
           health_surfaces_staleness_and_warnings;
         Alcotest.test_case "wire: calibration ops round-trip" `Quick
