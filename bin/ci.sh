@@ -11,8 +11,10 @@
 #     canary-rejected with the epoch and cache intact);
 #   - a fleet drill (3 shards + router: kill -9 a shard, fail over
 #     bit-identically, rebuild it from its peer replica);
-#   - the 20-day drift campaign (BENCH_drift.json, jobs 1/2/4);
-#   - the seeded 20-run chaos campaign (BENCH_chaos.json);
+#   - the 20-day drift campaign (jobs 1/2/4), which is deterministic
+#     and must reproduce the committed BENCH_drift.json byte for byte;
+#   - the seeded 20-run chaos campaign (its kill offsets vary from run
+#     to run, so its report is not compared with BENCH_chaos.json);
 #   - a scheduler-core smoke benchmark, checked against the frozen
 #     legacy baseline: it fails if an objective is worse than the
 #     frozen one, if nodes are not at least 2x below the frozen
@@ -179,13 +181,17 @@ for P in $FLEET_PIDS; do
 done
 FLEET_PIDS=""
 
-echo "ci: drift campaign (20 days, jobs 1/2/4)"
+echo "ci: drift campaign (20 days, jobs 1/2/4) must reproduce BENCH_drift.json"
 dune exec bench/main.exe -- --drift-bench --days 20 --seed 7 \
-  --drift-dir "$SCRATCH/drift" --out BENCH_drift.json
+  --drift-dir "$SCRATCH/drift" --out "$SCRATCH/BENCH_drift.json"
+if ! cmp "$SCRATCH/BENCH_drift.json" BENCH_drift.json; then
+  echo "ci: drift campaign: report differs from the committed BENCH_drift.json" >&2
+  exit 1
+fi
 
 echo "ci: chaos campaign (20 seeds)"
 dune exec bench/main.exe -- --chaos-bench --seeds 20 --requests 60 --jobs 2 \
-  --chaos-dir "$SCRATCH/chaos" --out BENCH_chaos.json
+  --chaos-dir "$SCRATCH/chaos" --out "$SCRATCH/BENCH_chaos.json"
 
 echo "ci: scheduler-core smoke (vs frozen legacy baseline, --jobs 1 vs 4 determinism)"
 dune exec bench/main.exe -- --bench-sched --smoke --jobs 4 \

@@ -3,7 +3,16 @@
     Covers the subset the persistence layer needs: objects, arrays,
     strings with the standard escapes, numbers (read as floats),
     booleans and null.  Emission is deterministic (object fields in
-    insertion order) so stored files diff cleanly. *)
+    insertion order) so stored files diff cleanly.
+
+    Every request, response, journal line and stored table passes
+    through this codec, so it is written to allocate little: the
+    parser indexes bytes directly and takes escape-free strings and
+    plain integers whole, and the printer blits strings that need no
+    escapes.  Its contract is the original byte-at-a-time codec, kept
+    as the test oracle ([test/json_ref.ml]): {!to_string} gives the
+    same bytes, and {!of_string} the same value or the same [Error]
+    text and position, on every input. *)
 
 type t =
   | Null
@@ -28,6 +37,9 @@ val member : string -> t -> t option
 
 val to_float : t -> (float, string) result
 val to_int : t -> (int, string) result
+(** An integral number from [min_int] to [max_int]; any other integral
+    number is ["integer out of range"]. *)
+
 val to_str : t -> (string, string) result
 val to_list : t -> (t list, string) result
 

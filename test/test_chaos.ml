@@ -94,6 +94,30 @@ let prop_fuzz_mutated_frames =
         flips;
       one_typed_response_per_line [ Bytes.to_string s ])
 
+(* An integral number outside the int range is refused as such, not
+   wrapped by [int_of_float] into a "must be positive" answer. *)
+let out_of_range_integers () =
+  let service = example_service () in
+  let request nqubits =
+    Printf.sprintf {|{"op":"compile","id":"n","device":"example6q","circuit":{"nqubits":%s,"gates":[]}}|}
+      nqubits
+  in
+  let error_of line =
+    match Json.of_string line with
+    | Ok doc -> Json.find_str "error" doc
+    | Error e -> Error e
+  in
+  List.iter
+    (fun (nqubits, expected) ->
+      match Server.handle_lines service [ request nqubits ] with
+      | [ line ], _ -> Alcotest.(check (result string string)) nqubits (Ok expected) (error_of line)
+      | _ -> Alcotest.fail "expected one response")
+    [
+      ("1e300", "integer out of range");
+      ("4611686018427387903", "integer out of range");
+      ("-4611686018427387904", "nqubits must be positive");
+    ]
+
 (* ---- frame bound ---- *)
 
 let frame_too_large () =
@@ -693,6 +717,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_fuzz_random_bytes;
         QCheck_alcotest.to_alcotest prop_fuzz_mutated_frames;
+        Alcotest.test_case "out-of-range integers" `Quick out_of_range_integers;
         Alcotest.test_case "frame too large" `Quick frame_too_large;
         Alcotest.test_case "health op" `Quick health_op;
       ] );

@@ -57,6 +57,158 @@ let json_accessors () =
   Alcotest.(check bool) "to_int rejects fraction" true
     (Result.is_error (Json.to_int (Json.Number 7.5)))
 
+let json_to_int_range () =
+  let to_int x = Json.to_int (Json.Number x) in
+  Alcotest.(check bool) "min_int" true (to_int (-4611686018427387904.0) = Ok min_int);
+  Alcotest.(check bool) "largest float below 2^62" true
+    (to_int 4611686018427387392.0 = Ok 4611686018427387392);
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (Printf.sprintf "%g out of range" x) true
+        (to_int x = Error "integer out of range"))
+    [ 4611686018427387904.0; -4611686018427388928.0; 1e300; -1e300 ];
+  (* 2^62 - 1 is not a float: it parses to 2^62. *)
+  match Json.of_string "4611686018427387903" with
+  | Ok doc -> Alcotest.(check bool) "parsed 2^62 - 1" true (Json.to_int doc = Error "integer out of range")
+  | Error e -> Alcotest.fail e
+
+(* ---- the codec against its reference ---- *)
+
+(* Structural equality with floats compared bit for bit, so -0 and 0
+   differ and nan equals nan. *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Number x, Json.Number y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Array xs, Json.Array ys -> List.equal same_json xs ys
+  | Json.Object xs, Json.Object ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && same_json x y) xs ys
+  | _ -> a = b
+
+let same_parse text =
+  match (Json.of_string text, Json_ref.of_string text) with
+  | Ok x, Ok y -> same_json x y
+  | Error e, Error f -> String.equal e f
+  | _ -> false
+
+(* The printer's integer bound (1e15, and 1e17 where "%.17g" turns to
+   exponents), 2^53, subnormals, the int range's edge. *)
+let edge_floats =
+  [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1e15; -1e15; 1e15 -. 1.0;
+    -.(1e15 -. 1.0); 1e15 +. 2.0; 999999999999999.5; 1e17; -1e17; 1e17 -. 16.0;
+    9007199254740992.0; 9007199254740994.0; -9007199254740992.0; 4.9e-324;
+    2.2250738585072009e-308; 2.2250738585072014e-308; Float.max_float; 0.1; 1.0 /. 3.0;
+    4611686018427387904.0; 1e300; 1e21; 1e-7 ]
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofl edge_floats);
+        (* every bit pattern: subnormals, 17-digit values, nan payloads *)
+        (2, map Int64.float_of_bits ui64);
+        (2, map float_of_int (int_range (-2000) 2000));
+        (1, map float_of_int int);
+        (1, map (fun (m, e) -> ldexp m e) (pair (float_range (-1.0) 1.0) (int_range (-1080) 1030)));
+      ])
+
+let gen_text =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (4, printable);
+             (1, oneofl [ '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\b'; '\012' ]);
+             (1, map Char.chr (int_bound 31));
+             (1, map Char.chr (int_range 128 255));
+           ])
+      (int_bound 12))
+
+let gen_tree =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 (3, map (fun x -> Json.Number x) gen_float);
+                 (2, map (fun s -> Json.String s) gen_text);
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Array l) (list_size (int_bound 5) (self (n / 4))));
+                 (1, map (fun l -> Json.Object l) (list_size (int_bound 5) (pair gen_text (self (n / 4)))));
+               ]))
+
+let prop_render_matches_reference =
+  QCheck.Test.make ~name:"to_string matches the reference" ~count:1000
+    (QCheck.make ~print:(Json_ref.to_string ~indent:false) gen_tree)
+    (fun doc ->
+      List.for_all
+        (fun indent ->
+          let text = Json.to_string ~indent doc in
+          String.equal text (Json_ref.to_string ~indent doc) && same_parse text)
+        [ true; false ])
+
+(* Mostly JSON's own bytes, so the parser gets past the first one. *)
+let gen_bytes =
+  let alphabet = "{}[],:\"\\ \t\n-+.eE0123456789truefalsnibu/" in
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (3, map (String.get alphabet) (int_bound (String.length alphabet - 1))); (1, char) ])
+      (int_bound 60))
+
+let prop_parse_random_bytes =
+  QCheck.Test.make ~name:"of_string on random bytes matches the reference" ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_bytes)
+    same_parse
+
+(* A compile request, its response and the journal line it left, as
+   the daemon writes them. *)
+let served_lines =
+  lazy
+    (let device = Presets.example_6q () in
+     let registry = Core.Registry.create () in
+     ignore (Core.Registry.add_static registry ~id:"example6q" ~device ~xtalk:(Device.ground_truth device));
+     let service = Core.Service.create registry in
+     let circuit =
+       Core.Circuit.measure_all (Core.Circuit.cnot (Core.Circuit.h (Core.Circuit.create 6) 0) ~control:0 ~target:1)
+     in
+     let request =
+       Core.Wire.Compile { id = "r1"; device = "example6q"; circuit; params = Core.Wire.default_params }
+     in
+     let response = Core.Service.handle service request in
+     let cache = Core.Service.cache service in
+     let key = List.hd (Core.Cache.keys_newest_first cache) in
+     let entry = Option.get (Core.Cache.find cache key) in
+     [|
+       Json.to_string ~indent:false (Core.Wire.request_to_json request);
+       Json.to_string ~indent:false response;
+       Core.Journal.line_of_record { Core.Journal.key; entry };
+     |])
+
+let prop_parse_damaged_lines =
+  let gen =
+    QCheck.Gen.(triple (int_bound 2) (float_range 0.0 1.0) (list_size (int_bound 6) (pair nat (int_bound 7))))
+  in
+  QCheck.Test.make ~name:"of_string on damaged lines matches the reference" ~count:2000 (QCheck.make gen)
+    (fun (which, keep, flips) ->
+      let line = (Lazy.force served_lines).(which) in
+      let s = Bytes.of_string (String.sub line 0 (int_of_float (keep *. float_of_int (String.length line)))) in
+      List.iter
+        (fun (pos, bit) ->
+          if Bytes.length s > 0 then
+            let i = pos mod Bytes.length s in
+            Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor (1 lsl bit))))
+        flips;
+      same_parse line && same_parse (Bytes.to_string s))
+
 (* ---- Store ---- *)
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
@@ -194,6 +346,10 @@ let suite =
         Alcotest.test_case "whitespace and compact" `Quick json_parse_whitespace_and_compact;
         Alcotest.test_case "parse errors" `Quick json_parse_errors;
         Alcotest.test_case "accessors" `Quick json_accessors;
+        Alcotest.test_case "to_int range" `Quick json_to_int_range;
+        QCheck_alcotest.to_alcotest prop_render_matches_reference;
+        QCheck_alcotest.to_alcotest prop_parse_random_bytes;
+        QCheck_alcotest.to_alcotest prop_parse_damaged_lines;
       ] );
     ( "persist.store",
       [
