@@ -431,38 +431,10 @@ let run ~days ~seed ~dir ~out ~smoke =
    Against a live daemon: record the serving epoch, inject a poisoned
    calibration cycle (truncated merge) through the wire op, and assert
    the canary/merge gate rejected it — same epoch, compiles still ok,
-   cache intact. *)
-
-let encode req = Json.to_string ~indent:false (Wire.request_to_json req)
-
-let connect ~socket ~retries =
-  let rec go n =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () -> Some fd
-    | exception Unix.Unix_error _ ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      if n <= 0 then None
-      else begin
-        Unix.sleepf 0.1;
-        go (n - 1)
-      end
-  in
-  go retries
-
-let send_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let rec go ofs =
-    if ofs < len then
-      match Unix.write fd b ofs (len - ofs) with
-      | n -> go (ofs + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ofs
-  in
-  go 0
+   cache intact.  The socket client is the chaos drill's. *)
 
 let roundtrip fd req =
-  send_all fd (encode req ^ "\n");
+  Exp_chaos.send_all fd (Exp_chaos.encode req ^ "\n");
   let buf = Bytes.create 65536 in
   let acc = Buffer.create 4096 in
   let rec read_line () =
@@ -498,7 +470,7 @@ let drill ~socket ~device_name =
       | Some d -> d
       | None -> fail "unknown device %s" name)
   in
-  match connect ~socket ~retries:50 with
+  match Exp_chaos.connect ~socket ~retries:50 with
   | None -> fail "cannot connect to %s" socket
   | Some fd ->
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 120.0;

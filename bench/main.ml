@@ -4,16 +4,14 @@
 
    Usage (every flag from --list on selects one standalone mode, and
    the [modes] table below maps each to its runner and flag defaults;
-   with none of them the paper's experiments run):
+   with none of them the paper's experiments run; the compile
+   service's load generator is perfbench, see perfbench/README.md):
      dune exec bench/main.exe                 # all experiments, quick settings
      dune exec bench/main.exe -- --full       # paper-scale trial counts (slow)
      dune exec bench/main.exe -- --only fig5  # one experiment
      dune exec bench/main.exe -- --no-bechamel
      dune exec bench/main.exe -- --list       # available experiment ids
      dune exec bench/main.exe -- --bench-exec  # executor throughput -> BENCH_exec.json
-     dune exec bench/main.exe -- --serve-bench --requests 160 --seed 7 --jobs 4
-       (seeded skewed compile workload against the serving layer;
-        writes BENCH_serve.json)
      dune exec bench/main.exe -- --chaos-bench --seeds 20 --requests 60 --jobs 2
        (seeded service-fault campaign: corrupted frames, failing/stalling
         compiles, full-disk journal appends, kill -9 journal truncation;
@@ -155,11 +153,6 @@ let modes args =
           ~file:(str_flag "--file" "chaos-expected.json")
           ~requests:(int_flag "--requests" 24) ~seed:(int_flag "--seed" 7)
           ~min_cached:(int_flag "--min-cached" 0) );
-    ( "--serve-bench",
-      fun () ->
-        Exp_serve.run ~seed:(int_flag "--seed" 7) ~requests:(int_flag "--requests" 160)
-          ~jobs:(int_flag "--jobs" 4) ~smoke
-          ~out:(str_flag "--out" "BENCH_serve.json") );
   ]
 
 let () =

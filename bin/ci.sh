@@ -27,11 +27,18 @@
 #     aggregate, the cell table must be jobs-identical);
 #   - a fleet smoke benchmark (shard-count determinism matrix plus
 #     seeded kill drills);
-#   - a serve-tier smoke benchmark (rendered cached-path throughput,
-#     the event-driven reactor over a live socket, and a seeded
-#     stall-injection campaign with a bounded cached-path tail).
+#   - a short perfbench serve-hot run (perfbench/README.md): the
+#     shipped daemon over its socket under a Zipf replay of cached
+#     compiles, every response checked against perfbench's own
+#     reference; it must be correct, with no failed request and a
+#     sustained rate of at least 1000 req/s.
 set -eu
 cd "$(dirname "$0")/.."
+
+# perfbench writes .perfbench/results/serve-hot-seed<N>-trace0.json
+# and overwrites it on the next run with that seed, so the CI run uses
+# a seed that no perfbench comparison uses.
+PERF_SEED=9001
 
 dune build @check
 dune build
@@ -43,7 +50,6 @@ dune build @drift
 dune build @sched
 dune build @scale
 dune build @mitig
-dune build @serveperf
 
 SCRATCH="$(mktemp -d "${TMPDIR:-/tmp}/qcx-ci.XXXXXX")"
 DAEMON=""
@@ -209,8 +215,24 @@ echo "ci: fleet smoke (shard-count determinism matrix + seeded kill drills)"
 dune exec bench/main.exe -- --fleet-bench --smoke \
   --fleet-dir "$SCRATCH/fleet-bench" --out "$SCRATCH/BENCH_fleet.json"
 
-echo "ci: serve smoke (rendered cached path, reactor socket, chaos tail)"
-dune exec bench/main.exe -- --serve-bench --smoke \
-  --out "$SCRATCH/BENCH_serve.json"
+echo "ci: perfbench serve-hot (seed $PERF_SEED, 5 s): correct, 0 failed, >= 1000 req/s"
+if ! python3 perfbench/run.py --workload serve-hot --seed "$PERF_SEED" --seconds 5 \
+  --trace 0 > "$SCRATCH/perfbench.out"; then
+  echo "ci: perfbench serve-hot: run.py failed" >&2
+  exit 1
+fi
+tail -n 1 "$SCRATCH/perfbench.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+rate = r["metrics"]["max_rate_rps"]["value"]
+bad = [why for why, hit in [
+    ("not correct", r["correct"] is not True),
+    ("%d failed requests" % r["failed"], r["failed"] > 0),
+    ("max_rate_rps %.0f < 1000" % rate, rate < 1000),
+] if hit]
+if bad:
+    sys.exit("ci: perfbench serve-hot: " + "; ".join(bad))
+print("ci: perfbench serve-hot: correct, %d requests, max_rate_rps %.0f" % (r["attempted"], rate))
+'
 
 echo "ci: OK"

@@ -452,7 +452,7 @@ let classify t ~max_frame frame =
       | Error e -> Direct (render (Wire.error_response ~id:None ("bad JSON: " ^ e)))
       | Ok doc -> (
         match Wire.request_of_json doc with
-        | Error e -> Direct (render (Wire.error_response ~id:None e))
+        | Error e -> Direct (render (Wire.invalid_request_response doc e))
         | Ok req -> (
           match req with
           | Wire.Compile { id; device; circuit; params } ->

@@ -16,10 +16,10 @@ let handle_frames ?(max_frame = Wire.default_max_frame) service frames =
           if String.length line > max_frame then `Oversize
           else
             match Json.of_string line with
-            | Error e -> `Bad ("bad JSON: " ^ e)
+            | Error e -> `Bad (Wire.error_response ~id:None ("bad JSON: " ^ e))
             | Ok doc -> (
               match Wire.request_of_json doc with
-              | Error e -> `Bad e
+              | Error e -> `Bad (Wire.invalid_request_response doc e)
               | Ok req -> `Req req)))
       frames
   in
@@ -44,7 +44,7 @@ let handle_frames ?(max_frame = Wire.default_max_frame) service frames =
         match item with
         | `Oversize ->
           Json.to_string ~indent:false (Wire.frame_too_large_response ~id:None ~limit:max_frame)
-        | `Bad e -> Json.to_string ~indent:false (Wire.error_response ~id:None e)
+        | `Bad response -> Json.to_string ~indent:false response
         | `Req _ -> (
           match !responses with
           | r :: rest ->

@@ -413,6 +413,10 @@ let id_field = function None -> Json.Null | Some id -> Json.String id
 let error_response ~id msg =
   Json.Object [ ("id", id_field id); ("status", Json.String "error"); ("error", Json.String msg) ]
 
+let doc_id doc = match Json.member "id" doc with Some (Json.String id) -> Some id | _ -> None
+
+let invalid_request_response doc msg = error_response ~id:(doc_id doc) msg
+
 let typed_error ?(extra = []) ~id ~status msg =
   Json.Object
     ([ ("id", id_field id); ("status", Json.String status); ("error", Json.String msg) ]
@@ -457,8 +461,7 @@ let unavailable_response ~id ~attempts =
 let line_id line =
   match Json.of_string line with
   | Error _ -> None
-  | Ok doc -> (
-    match Json.member "id" doc with Some (Json.String id) -> Some id | _ -> None)
+  | Ok doc -> doc_id doc
 
 let with_id doc ~id =
   match doc with

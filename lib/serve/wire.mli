@@ -100,6 +100,12 @@ val request_to_json : request -> Json.t
 val error_response : id:string option -> string -> Json.t
 (** [{"id": ..., "status": "error", "error": msg}]. *)
 
+val invalid_request_response : Json.t -> string -> Json.t
+(** The {!error_response} for a parsed line that {!request_of_json}
+    rejected with [msg]: it echoes the line's [id] when that is a JSON
+    string, otherwise [null], so a pipelining client can tell which
+    request failed. *)
+
 val overloaded_response : id:string option -> Json.t
 (** The typed admission-control rejection:
     [{"id": ..., "status": "overloaded", "error": ...}]. *)

@@ -98,24 +98,30 @@ let prop_fuzz_mutated_frames =
    wrapped by [int_of_float] into a "must be positive" answer. *)
 let out_of_range_integers () =
   let service = example_service () in
-  let request nqubits =
-    Printf.sprintf {|{"op":"compile","id":"n","device":"example6q","circuit":{"nqubits":%s,"gates":[]}}|}
-      nqubits
+  let request ~id nqubits =
+    Printf.sprintf {|{"op":"compile",%s"device":"example6q","circuit":{"nqubits":%s,"gates":[]}}|}
+      id nqubits
   in
-  let error_of line =
+  (* The rejection echoes a string id ("n") and answers null without one. *)
+  let id_and_error line =
     match Json.of_string line with
-    | Ok doc -> Json.find_str "error" doc
+    | Ok doc ->
+      let id = Option.fold ~none:"absent" ~some:(Json.to_string ~indent:false) (Json.member "id" doc) in
+      Result.map (fun e -> (id, e)) (Json.find_str "error" doc)
     | Error e -> Error e
   in
   List.iter
-    (fun (nqubits, expected) ->
-      match Server.handle_lines service [ request nqubits ] with
-      | [ line ], _ -> Alcotest.(check (result string string)) nqubits (Ok expected) (error_of line)
+    (fun (id, nqubits, expected) ->
+      match Server.handle_lines service [ request ~id nqubits ] with
+      | [ line ], _ ->
+        Alcotest.(check (result (pair string string) string)) nqubits (Ok expected)
+          (id_and_error line)
       | _ -> Alcotest.fail "expected one response")
     [
-      ("1e300", "integer out of range");
-      ("4611686018427387903", "integer out of range");
-      ("-4611686018427387904", "nqubits must be positive");
+      ({|"id":"n",|}, "1e300", ({|"n"|}, "integer out of range"));
+      ({|"id":"n",|}, "4611686018427387903", ({|"n"|}, "integer out of range"));
+      ({|"id":"n",|}, "-4611686018427387904", ({|"n"|}, "nqubits must be positive"));
+      ("", "1e300", ("null", "integer out of range"));
     ]
 
 (* ---- frame bound ---- *)

@@ -257,8 +257,18 @@ let fleet_router_failover () =
   match Fleet.create ~service_config:fleet_config ~root ~nshards:3 ~make_registry () with
   | Error e -> Alcotest.fail e
   | Ok fleet ->
-    let lines = List.init 6 compile_line in
+    (* the last line is rejected by the router itself, which must echo its id *)
+    let bad =
+      {|{"op":"compile","id":"bad","device":"example6q","circuit":{"nqubits":1e300,"gates":[]}}|}
+    in
+    let lines = List.init 6 compile_line @ [ bad ] in
     let before, _ = Fleet.handle_lines fleet lines in
+    (match Json.of_string (List.nth before 6) with
+    | Ok doc ->
+      Alcotest.(check (list (result string string))) "bad compile is typed, with its id"
+        [ Ok "bad"; Ok "error"; Ok "integer out of range" ]
+        (List.map (fun k -> Json.find_str k doc) [ "id"; "status"; "error" ])
+    | Error e -> Alcotest.fail e);
     let schedules lines =
       List.filter_map
         (fun line ->

@@ -422,11 +422,27 @@ let service_batch_dedup () =
   (match scheds with
   | [ a; b ] -> Alcotest.(check string) "identical schedules" a b
   | _ -> Alcotest.fail "expected two responses");
-  match Json.member "served" (Service.stats_json service) with
+  (match Json.member "served" (Service.stats_json service) with
   | Some served ->
     Alcotest.(check bool) "one cold compile for the pair" true
       (Json.find_float "cold_compiles" served = Ok 1.0)
-  | None -> Alcotest.fail "missing served stats"
+  | None -> Alcotest.fail "missing served stats");
+  (* A hit never consults the compile slot: next to one new circuit,
+     the repeated key costs no compile attempt. *)
+  let consulted = Atomic.make 0 in
+  Service.set_compile_fault service
+    (Some
+       (fun ~nth:_ ->
+         Atomic.incr consulted;
+         None));
+  let fresh = Circuit.measure_all (Circuit.h (Circuit.create 6) 3) in
+  let responses = Service.handle_batch service [ compile_req "c" circuit; compile_req "d" fresh ] in
+  Alcotest.(check int) "one compile attempt, for the new key" 1 (Atomic.get consulted);
+  Alcotest.(check (list (option bool))) "repeat is cached, new key is not"
+    [ Some true; Some false ]
+    (List.map
+       (fun r -> match Json.member "cached" r with Some (Json.Bool b) -> Some b | _ -> None)
+       responses)
 
 (* ---- server loop ---- *)
 
