@@ -31,7 +31,13 @@
 #     shipped daemon over its socket under a Zipf replay of cached
 #     compiles, every response checked against perfbench's own
 #     reference; it must be correct, with no failed request and a
-#     sustained rate of at least 1000 req/s.
+#     sustained rate of at least 1000 req/s;
+#   - a perfbench serve-cold run: distinct seeded circuits compiled
+#     cold through the daemon (exact and windowed rungs, DD padding,
+#     the journal), every response checked against perfbench's own
+#     reference; it must be correct with no failed request.  It runs
+#     --seconds 20 (about 50 s in all): a shorter run leaves
+#     serve-cold's reference phase too small for a p99 and exits 2.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,6 +45,8 @@ cd "$(dirname "$0")/.."
 # and overwrites it on the next run with that seed, so the CI run uses
 # a seed that no perfbench comparison uses.
 PERF_SEED=9001
+# The same holds for serve-cold's .perfbench/results/serve-cold-seed<N>-trace0.json.
+PERF_COLD_SEED=9002
 
 dune build @check
 dune build
@@ -233,6 +241,24 @@ bad = [why for why, hit in [
 if bad:
     sys.exit("ci: perfbench serve-hot: " + "; ".join(bad))
 print("ci: perfbench serve-hot: correct, %d requests, max_rate_rps %.0f" % (r["attempted"], rate))
+'
+
+echo "ci: perfbench serve-cold (seed $PERF_COLD_SEED, 20 s): correct, 0 failed"
+if ! python3 perfbench/run.py --workload serve-cold --seed "$PERF_COLD_SEED" --seconds 20 \
+  --trace 0 > "$SCRATCH/perfbench-cold.out"; then
+  echo "ci: perfbench serve-cold: run.py failed" >&2
+  exit 1
+fi
+tail -n 1 "$SCRATCH/perfbench-cold.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+bad = [why for why, hit in [
+    ("not correct", r["correct"] is not True),
+    ("%d failed requests" % r["failed"], r["failed"] > 0),
+] if hit]
+if bad:
+    sys.exit("ci: perfbench serve-cold: " + "; ".join(bad))
+print("ci: perfbench serve-cold: correct, %d requests" % r["attempted"])
 '
 
 echo "ci: OK"

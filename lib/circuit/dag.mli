@@ -9,6 +9,13 @@
 type t
 
 val of_circuit : Circuit.t -> t
+(** Direct edges plus the transitive closure, word-packed: O(n²/62)
+    words for [n] gates. *)
+
+val direct_preds : Circuit.t -> int list array
+(** [direct_preds c] is {!preds} for every gate id of [c] — the last
+    earlier gate on each operand qubit, ascending, without repeats —
+    without building the closure. *)
 
 val circuit : t -> Circuit.t
 
@@ -26,13 +33,3 @@ val is_ancestor : t -> int -> int -> bool
 
 val can_overlap : t -> int -> int -> bool
 (** Neither is an ancestor of the other. *)
-
-val can_overlap_set : t -> int -> int list
-(** All gate ids that can overlap with the given gate (excluding
-    itself, barriers and measurements). *)
-
-val topological : t -> int list
-(** Gate ids in a topological (program) order. *)
-
-val roots : t -> int list
-(** Gates with no predecessors. *)

@@ -1,9 +1,4 @@
-type t = {
-  circuit : Circuit.t;
-  dag : Dag.t;
-  starts : float array;
-  durations : float array;
-}
+type t = { circuit : Circuit.t; starts : float array; durations : float array }
 
 let make circuit ~starts ~durations =
   let n = Circuit.length circuit in
@@ -14,7 +9,7 @@ let make circuit ~starts ~durations =
       if Gate.is_barrier g && durations.(g.Gate.id) <> 0.0 then
         invalid_arg "Schedule.make: barriers must have zero duration")
     (Circuit.gates circuit);
-  { circuit; dag = Dag.of_circuit circuit; starts; durations }
+  { circuit; starts; durations }
 
 let circuit t = t.circuit
 
@@ -64,33 +59,30 @@ let validate t =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   (* (a) dependencies *)
-  List.iter
-    (fun g ->
-      let id = g.Gate.id in
+  Array.iteri
+    (fun id ps ->
       List.iter
         (fun p ->
           if t.starts.(id) +. 1e-9 < t.starts.(p) +. t.durations.(p) then
             note "gate %d starts before its dependency %d finishes" id p)
-        (Dag.preds t.dag id))
+        ps)
+    (Dag.direct_preds t.circuit);
+  (* (b) qubit exclusivity: one pass buckets the non-barrier gates per
+     qubit in program order, then each bucket is sorted stably by start *)
+  let on_q = Array.make (Circuit.nqubits t.circuit) [] in
+  List.iter
+    (fun g ->
+      if not (Gate.is_barrier g) then
+        List.iter (fun q -> on_q.(q) <- g.Gate.id :: on_q.(q)) g.Gate.qubits)
     (Circuit.gates t.circuit);
-  (* (b) qubit exclusivity *)
-  let nq = Circuit.nqubits t.circuit in
-  for q = 0 to nq - 1 do
-    let on_q =
-      List.filter
-        (fun g -> (not (Gate.is_barrier g)) && List.mem q g.Gate.qubits)
-        (Circuit.gates t.circuit)
-    in
-    let rec check = function
-      | a :: (b :: _ as rest) ->
-        if overlaps t a.Gate.id b.Gate.id then
-          note "gates %d and %d overlap on qubit %d" a.Gate.id b.Gate.id q;
-        check rest
-      | [ _ ] | [] -> ()
-    in
-    check
-      (List.sort (fun a b -> compare t.starts.(a.Gate.id) t.starts.(b.Gate.id)) on_q)
-  done;
+  let rec check q = function
+    | a :: (b :: _ as rest) ->
+      if overlaps t a b then note "gates %d and %d overlap on qubit %d" a b q;
+      check q rest
+    | [ _ ] | [] -> ()
+  in
+  let by_start a b = Float.compare t.starts.(a) t.starts.(b) in
+  Array.iteri (fun q ids -> check q (List.stable_sort by_start (List.rev ids))) on_q;
   (* (c) simultaneous readout *)
   let measure_starts =
     List.filter_map
@@ -117,16 +109,17 @@ let right_align t =
       infinity (Circuit.gates t.circuit)
   in
   let deadline = if measure_start = infinity then makespan t else measure_start in
+  let gates = Array.of_list (Circuit.gates t.circuit) in
+  let preds = Dag.direct_preds t.circuit in
   let new_starts = Array.copy t.starts in
-  (* Reverse topological (= reverse program) order. *)
+  (* Reverse program order: once a gate's start is final, it bounds the
+     latest finish of its direct predecessors, so each gate meets its
+     successors in descending id order, as in a fold over [Dag.succs]. *)
+  let latest_finish = Array.make n deadline in
   for id = n - 1 downto 0 do
-    let g = Dag.gate t.dag id in
-    if not (Gate.is_measure g) then begin
-      let latest_finish =
-        List.fold_left (fun acc s -> min acc new_starts.(s)) deadline (Dag.succs t.dag id)
-      in
-      new_starts.(id) <- latest_finish -. t.durations.(id)
-    end
+    if not (Gate.is_measure gates.(id)) then
+      new_starts.(id) <- latest_finish.(id) -. t.durations.(id);
+    List.iter (fun p -> latest_finish.(p) <- min latest_finish.(p) new_starts.(id)) preds.(id)
   done;
   { t with starts = new_starts }
 

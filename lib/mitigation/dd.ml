@@ -52,15 +52,15 @@ let pad ?(sequence = XY4) ~device sched =
      straddle it and break program order).  Barriers sitting exactly on
      a window boundary are fine — pulses are clamped inside the window,
      so they stay on the right side of it. *)
+  let barriers = List.filter Gate.is_barrier (Circuit.gates circuit) in
   let barrier_blocks (w : Idle.window) =
     List.exists
       (fun (g : Gate.t) ->
-        Gate.is_barrier g
-        && List.mem w.Idle.w_qubit g.Gate.qubits
+        List.mem w.Idle.w_qubit g.Gate.qubits
         &&
         let s = Schedule.start sched g.Gate.id in
         s > w.Idle.w_start +. 1e-9 && s < w.Idle.w_finish -. 1e-9)
-      (Circuit.gates circuit)
+      barriers
   in
   let staged, nwindows_padded, protected_ns =
     List.fold_left

@@ -6,7 +6,10 @@ module Schedule = Qcx_circuit.Schedule
 let schedule_with_orderings device circuit ~extra =
   let n = Circuit.length circuit in
   let durations = Durations.assign device circuit in
-  let dag = Dag.of_circuit circuit in
+  let gates = Array.of_list (Circuit.gates circuit) in
+  let preds = Dag.direct_preds circuit in
+  let succs = Array.make n [] in
+  Array.iteri (fun id ps -> List.iter (fun p -> succs.(p) <- id :: succs.(p)) ps) preds;
   let extra = List.filter (fun (i, j) -> i >= 0 && j >= 0 && i < n && j < n && i <> j) extra in
   let extra_preds = Array.make n [] in
   let extra_succs = Array.make n [] in
@@ -33,7 +36,7 @@ let schedule_with_orderings device circuit ~extra =
           List.fold_left
             (fun acc p -> max acc (starts.(p) +. durations.(p)))
             0.0
-            (Dag.preds dag id @ extra_preds.(id))
+            (preds.(id) @ extra_preds.(id))
         in
         if ready > starts.(id) +. 1e-9 then begin
           starts.(id) <- ready;
@@ -61,20 +64,20 @@ let schedule_with_orderings device circuit ~extra =
      earlier until all (DAG + extra) successor constraints hold. *)
   let alap =
     Array.init n (fun id ->
-        let g = Dag.gate dag id in
+        let g = gates.(id) in
         if Gate.is_measure g then starts.(id) else deadline -. durations.(id))
   in
   let changed = ref true in
   while !changed do
     changed := false;
     for id = n - 1 downto 0 do
-      let g = Dag.gate dag id in
+      let g = gates.(id) in
       if not (Gate.is_measure g) then begin
         let latest_finish =
           List.fold_left
             (fun acc s -> min acc alap.(s))
             deadline
-            (Dag.succs dag id @ extra_succs.(id))
+            (succs.(id) @ extra_succs.(id))
         in
         let v = latest_finish -. durations.(id) in
         if v < alap.(id) -. 1e-9 then begin

@@ -104,8 +104,7 @@ let dag_can_overlap () =
   let c = Circuit.cnot c ~control:1 ~target:2 in
   let dag = Dag.of_circuit c in
   Alcotest.(check bool) "independent cnots overlap" true (Dag.can_overlap dag 0 1);
-  Alcotest.(check bool) "dependent cnots do not" false (Dag.can_overlap dag 0 2);
-  Alcotest.(check (list int)) "can_overlap_set" [ 1 ] (Dag.can_overlap_set dag 0)
+  Alcotest.(check bool) "dependent cnots do not" false (Dag.can_overlap dag 0 2)
 
 let dag_barrier_orders () =
   let c = Circuit.create 2 in
@@ -118,7 +117,9 @@ let dag_barrier_orders () =
 
 let dag_roots () =
   let c = build () in
-  Alcotest.(check (list int)) "roots" [ 0 ] (Dag.roots (Dag.of_circuit c))
+  let dag = Dag.of_circuit c in
+  Alcotest.(check (list int)) "only the first gate has no predecessor" [ 0 ]
+    (List.filter (fun id -> Dag.preds dag id = []) (List.init (Circuit.length c) Fun.id))
 
 (* ---- Schedule ---- *)
 
@@ -348,6 +349,131 @@ let prop_ancestor_antisymmetric =
         !ok
       end)
 
+(* ---- oracles: the seed DAG, validator and right alignment
+   (sched_ref.ml) ---- *)
+
+(* Random circuits of 0-200 gates over 1-8 qubits (1q gates, CNOTs,
+   multi-qubit barriers, measures), with extra weight on the sizes on
+   either side of the closure's 62-bit word boundaries. *)
+let gen_oracle_circuit =
+  QCheck.Gen.(
+    let* nq = int_range 1 8 in
+    let* n = frequency [ (3, int_range 0 200); (1, oneofl [ 61; 62; 63; 124; 125 ]) ] in
+    let qubit = int_bound (nq - 1) in
+    let one kind = map (fun q -> (kind, [ q ])) qubit in
+    let cnot =
+      if nq < 2 then one Gate.X
+      else
+        let* a = qubit in
+        let+ b = int_bound (nq - 2) in
+        (Gate.Cnot, [ a; (if b >= a then b + 1 else b) ])
+    in
+    let barrier =
+      let* qs = shuffle_l (List.init nq Fun.id) in
+      let+ k = int_range 1 nq in
+      (Gate.Barrier, List.filteri (fun i _ -> i < k) qs)
+    in
+    let+ ops =
+      list_repeat n
+        (frequency
+           [ (3, one Gate.H); (1, one (Gate.Rz 0.5)); (4, cnot); (1, barrier); (1, one Gate.Measure) ])
+    in
+    List.fold_left (fun c (kind, qs) -> Circuit.add c kind qs) (Circuit.create nq) ops)
+
+let arb_oracle_circuit =
+  QCheck.make gen_oracle_circuit ~print:(fun c ->
+      Printf.sprintf "%d qubits: %s" (Circuit.nqubits c)
+        (String.concat "; " (List.map Gate.to_string (Circuit.gates c))))
+
+let prop_dag_matches_reference =
+  QCheck.Test.make ~name:"preds, succs and ancestors match the seed DAG" ~count:200
+    arb_oracle_circuit (fun c ->
+      let dag = Dag.of_circuit c and seed = Sched_ref.Dag.of_circuit c in
+      let direct = Dag.direct_preds c in
+      let ids = List.init (Circuit.length c) Fun.id in
+      List.for_all
+        (fun b ->
+          let preds = Sched_ref.Dag.preds seed b in
+          Dag.preds dag b = preds
+          && direct.(b) = preds
+          && Dag.succs dag b = Sched_ref.Dag.succs seed b
+          && List.for_all (fun a -> Dag.is_ancestor dag a b = Sched_ref.Dag.is_ancestor seed a b) ids)
+        ids)
+
+(* An ASAP schedule with durations drawn from {0, 10, 30, 50} ns (zero
+   makes start-time ties on a qubit), and a copy perturbed by one of:
+   a gate started before its first dependency, a later gate started
+   inside an earlier one on a shared qubit, one measurement moved, or
+   random gates moved anywhere in the makespan. *)
+let oracle_schedules c seed =
+  let rng = Random.State.make [| seed |] in
+  let n = Circuit.length c in
+  let gates = Array.of_list (Circuit.gates c) in
+  let durations =
+    Array.map
+      (fun g -> if Gate.is_barrier g then 0.0 else [| 0.0; 10.0; 30.0; 50.0 |].(Random.State.int rng 4))
+      gates
+  in
+  let preds = Dag.direct_preds c in
+  let starts = Array.make n 0.0 in
+  Array.iteri
+    (fun id ps -> starts.(id) <- List.fold_left (fun acc p -> max acc (starts.(p) +. durations.(p))) 0.0 ps)
+    preds;
+  let pick f =
+    match List.filter f (List.init n Fun.id) with
+    | [] -> None
+    | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+  in
+  let shares a b = List.exists (fun q -> List.mem q gates.(b).Gate.qubits) gates.(a).Gate.qubits in
+  let moved = Array.copy starts in
+  (match seed mod 4 with
+  | 0 -> Option.iter (fun id -> moved.(id) <- starts.(List.hd preds.(id)) -. 1.0) (pick (fun id -> preds.(id) <> []))
+  | 1 ->
+    Option.iter
+      (fun b ->
+        Option.iter
+          (fun a -> moved.(b) <- starts.(a) +. (durations.(a) /. 2.0))
+          (pick (fun a -> a < b && durations.(a) > 0.0 && shares a b)))
+      (pick (fun b -> durations.(b) > 0.0))
+  | 2 -> Option.iter (fun id -> moved.(id) <- starts.(id) +. 1.0) (pick (fun id -> Gate.is_measure gates.(id)))
+  | _ ->
+    let span = Array.fold_left max 0.0 starts in
+    if n > 0 then
+      for _ = 0 to Random.State.int rng 3 do
+        moved.(Random.State.int rng n) <- Random.State.float rng span
+      done);
+  (durations, [ starts; moved ])
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let validate_matches_reference () =
+  let kinds = [| "before its dependency"; "overlap on qubit"; "not simultaneous" |] in
+  let hits = Array.make (Array.length kinds) 0 in
+  let same_bits a b = Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b in
+  let agrees c (durations, starts) =
+    let s = Schedule.make c ~starts ~durations in
+    let seed = Sched_ref.of_schedule s in
+    let want = Sched_ref.validate seed in
+    (match want with
+    | Error e -> Array.iteri (fun k kind -> if contains e kind then hits.(k) <- hits.(k) + 1) kinds
+    | Ok () -> ());
+    let aligned = Schedule.right_align s in
+    Schedule.validate s = want
+    && same_bits (Array.init (Circuit.length c) (Schedule.start aligned)) (Sched_ref.right_align seed)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"validate and right_align match the seed" ~count:400
+       (QCheck.pair arb_oracle_circuit (QCheck.int_bound 1_000_000))
+       (fun (c, seed) ->
+         let durations, schedules = oracle_schedules c seed in
+         List.for_all (fun starts -> agrees c (durations, starts)) schedules));
+  Array.iteri
+    (fun k kind -> Alcotest.(check bool) (Printf.sprintf "some error says %S" kind) true (hits.(k) > 0))
+    kinds
+
 let suite =
   [
     ( "circuit.gate",
@@ -373,6 +499,7 @@ let suite =
         Alcotest.test_case "barrier orders" `Quick dag_barrier_orders;
         Alcotest.test_case "roots" `Quick dag_roots;
         QCheck_alcotest.to_alcotest prop_ancestor_antisymmetric;
+        QCheck_alcotest.to_alcotest prop_dag_matches_reference;
       ] );
     ( "circuit.schedule",
       [
@@ -385,6 +512,8 @@ let suite =
         Alcotest.test_case "right align" `Quick schedule_right_align;
         Alcotest.test_case "shift to zero" `Quick schedule_shift_to_zero;
         QCheck_alcotest.to_alcotest prop_asap_valid;
+        Alcotest.test_case "validate and right_align match the seed" `Quick
+          validate_matches_reference;
       ] );
     ("circuit.qasm", [ Alcotest.test_case "emission" `Quick qasm_emission ]);
     qasm_parser_suite;

@@ -504,3 +504,76 @@ let evaluate_lifetimes () =
 
 let suite =
   suite @ [ ("scheduler.lifetimes", [ Alcotest.test_case "lifetimes" `Quick evaluate_lifetimes ]) ]
+
+(* ---- pinned compile outputs: a seeded mix through Xtalk_sched (the
+   exact rung on the 20-qubit devices, the windowed rung on
+   heavy-hex-127 supremacy circuits past 320 gates, some padded with
+   XY4) must reproduce one digest of schedules plus stats, wall-clock
+   fields aside.  Any change to the DAG, the schedule bookkeeping, the
+   solver or the stitch that moves a start time, a node count or an
+   objective moves the digest. ---- *)
+
+let pinned_digest = "981d79f025fa53d19feab114adc3e6a4"
+
+let pinned_compiles () =
+  let rng = Core.Rng.create 20 in
+  let range lo hi = lo + Core.Rng.int rng (hi - lo + 1) in
+  let small = [| pough; Presets.johannesburg () |] in
+  let hh = Presets.heavy_hex_127 () in
+  let measured c = List.fold_left Circuit.measure c (Circuit.used_qubits c) in
+  let circuits =
+    List.concat_map
+      (fun dev ->
+        let swaps =
+          List.filteri (fun i _ -> i < 2) (Presets.swap_endpoints dev)
+          |> List.map (fun (src, dst) ->
+                 measured (Core.Swap_circuits.build dev ~src ~dst).Core.Swap_circuits.circuit)
+        in
+        let qaoas =
+          List.filteri (fun i _ -> i < 2) (Presets.qaoa_regions dev)
+          |> List.map (fun region -> (Core.Qaoa.build dev ~rng ~region).Core.Qaoa.circuit)
+        in
+        let sups =
+          List.init 2 (fun _ ->
+              let nqubits = range 4 8 and target_gates = range 20 60 in
+              (Core.Supremacy.build dev ~rng ~nqubits ~target_gates).Core.Supremacy.circuit)
+        in
+        List.map (fun c -> (dev, c)) (swaps @ qaoas @ sups))
+      (Array.to_list small)
+    @ List.init 2 (fun _ ->
+          let nqubits = range 16 40 and target_gates = range 330 520 in
+          (hh, (Core.Supremacy.build hh ~rng ~nqubits ~target_gates).Core.Supremacy.circuit))
+  in
+  let timing = [ "solve_seconds"; "cpu_seconds" ] in
+  let compiled =
+    List.mapi
+      (fun i (dev, c) ->
+        let sched, stats = Xtalk_sched.schedule ~device:dev ~xtalk:(Device.ground_truth dev) c in
+        let sched, stats, pulses =
+          if i mod 3 <> 2 then (sched, stats, 0)
+          else
+            let padded, _, dd = Core.Dd.pad ~sequence:Core.Dd.XY4 ~device:dev sched in
+            let idle_total, idle_max = Core.Idle.summarize padded in
+            (padded, { stats with Xtalk_sched.idle_total; idle_max }, dd.Core.Dd.pulses)
+        in
+        let json =
+          match Core.Wire.stats_to_json stats with
+          | Core.Json.Object fields ->
+            Core.Json.Object (List.filter (fun (k, _) -> not (List.mem k timing)) fields)
+          | j -> j
+        in
+        ( Xtalk_sched.rung_name stats.Xtalk_sched.rung,
+          pulses,
+          Core.Json.to_string ~indent:false
+            (Core.Json.Object [ ("schedule", Core.Wire.schedule_to_json sched); ("stats", json) ]) ))
+      circuits
+  in
+  let rungs = List.sort_uniq compare (List.map (fun (r, _, _) -> r) compiled) in
+  Alcotest.(check (list string)) "exact and windowed rungs served" [ "exact"; "windowed" ] rungs;
+  Alcotest.(check bool) "DD inserted pulses" true
+    (List.fold_left (fun acc (_, p, _) -> acc + p) 0 compiled > 0);
+  Alcotest.(check string) "digest of schedules + stats" pinned_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map (fun (_, _, s) -> s) compiled))))
+
+let suite =
+  suite @ [ ("scheduler.pinned", [ Alcotest.test_case "compile outputs" `Quick pinned_compiles ]) ]
