@@ -81,9 +81,9 @@ let deployed_xtalk_scheduler ?(omega = 0.5) device ~xtalk base_circuit =
   let sched0, stats =
     Core.Xtalk_sched.schedule ~omega ~device ~xtalk probe
   in
-  let dag0 = Core.Dag.of_circuit (Core.Schedule.circuit sched0) in
   let instances =
-    Core.Encoding.interfering_instances ~device ~xtalk ~threshold:3.0 ~dag:dag0
+    (Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 (Core.Schedule.circuit sched0))
+      .Core.Encoding.instances
   in
   let serialized = Core.Barriers.serialized_pairs sched0 ~pairs:instances in
   let scheduler c = Core.Par_sched.schedule_with_orderings device c ~extra:serialized in

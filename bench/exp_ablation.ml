@@ -104,7 +104,10 @@ let run (ctx : Ctx.t) =
       let _, decomposed =
         Core.Xtalk_sched.schedule ~omega:0.5 ~max_exact_pairs:1 ~device ~xtalk circuit
       in
-      let greedy_sched, _ = Core.Greedy_sched.schedule ~device ~xtalk circuit in
+      let greedy_sched, _ =
+        Core.Greedy_sched.schedule device
+          (Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 circuit)
+      in
       let err s = (Core.Evaluate.oracle device s).Core.Evaluate.error in
       quality := (err exact_sched, err greedy_sched) :: !quality;
       Core.Tablefmt.add_row table

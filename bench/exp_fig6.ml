@@ -29,8 +29,10 @@ let run (ctx : Ctx.t) =
   let sched, _ = Core.Xtalk_sched.schedule ~omega:0.5 ~device ~xtalk circuit in
   show "XtalkSched w=0.5" sched;
   (* The barrier-enforced circuit, as it would be submitted to IBMQ. *)
-  let dag = Core.Dag.of_circuit (Core.Schedule.circuit sched) in
-  let instances = Core.Encoding.interfering_instances ~device ~xtalk ~threshold:3.0 ~dag in
+  let instances =
+    (Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 (Core.Schedule.circuit sched))
+      .Core.Encoding.instances
+  in
   let serialized = Core.Barriers.serialized_pairs sched ~pairs:instances in
   let barriered = Core.Barriers.insert sched ~serialized in
   Printf.printf "\nXtalkSched output with barriers (OpenQASM):\n%s"

@@ -168,9 +168,11 @@ let bench ~smoke ~jobs ~out =
   let control_rows =
     List.map
       (fun (name, c) ->
-        let objective_of sched =
-          Core.Evaluate.objective ~threshold:3.0 ~omega:0.5 control_device
-            ~xtalk:control_xtalk sched
+        let problem =
+          Core.Encoding.prepare ~device:control_device ~xtalk:control_xtalk ~threshold:3.0 c
+        in
+        let objective_of =
+          Core.Evaluate.objective ~omega:0.5 control_device ~xtalk:control_xtalk problem
         in
         let exact_sched, exact_stats =
           Core.Xtalk_sched.schedule ~omega:0.5 ~max_exact_pairs:1000 ~device:control_device

@@ -15,8 +15,10 @@ let run (ctx : Ctx.t) =
   let xt omega = fst (Core.Xtalk_sched.schedule ~omega ~device ~xtalk circuit) in
   let x0 = xt 0.0 and x05 = xt 0.5 and x1 = xt 1.0 in
   let overlapping sched =
-    let dag = Core.Dag.of_circuit (Core.Schedule.circuit sched) in
-    let instances = Core.Encoding.interfering_instances ~device ~xtalk ~threshold:3.0 ~dag in
+    let instances =
+      (Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 (Core.Schedule.circuit sched))
+        .Core.Encoding.instances
+    in
     List.length (List.filter (fun (a, b) -> Core.Schedule.overlaps sched a b) instances)
   in
   let table =

@@ -217,9 +217,9 @@ let run device seed jobs src dst scheduler omega oracle xtalk_file deadline ladd
   Printf.printf "oracle expected error: %.4f\n" oracle_view.Core.Evaluate.error;
   Format.printf "%a@?" Core.Schedule.pp_timeline sched;
   if emit_qasm then begin
-    let dag = Core.Dag.of_circuit (Core.Schedule.circuit sched) in
     let instances =
-      Core.Encoding.interfering_instances ~device ~xtalk ~threshold:3.0 ~dag
+      (Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 (Core.Schedule.circuit sched))
+        .Core.Encoding.instances
     in
     let serialized = Core.Barriers.serialized_pairs sched ~pairs:instances in
     print_string (Core.Qasm.of_circuit (Core.Barriers.insert sched ~serialized))

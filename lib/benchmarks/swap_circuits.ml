@@ -1,5 +1,4 @@
 module Circuit = Qcx_circuit.Circuit
-module Dag = Qcx_circuit.Dag
 module Device = Qcx_device.Device
 module Topology = Qcx_device.Topology
 module Routing = Qcx_scheduler.Routing
@@ -31,8 +30,7 @@ let build_aware device ~xtalk ?(threshold = 3.0) ?(penalty = 0.9) ~src ~dst () =
 let swap_count t = (Circuit.two_qubit_count t.circuit - 1) / 3
 
 let is_crosstalk_prone device ~xtalk ?(threshold = 3.0) t =
-  let dag = Dag.of_circuit t.circuit in
-  Encoding.interfering_instances ~device ~xtalk ~threshold ~dag <> []
+  (Encoding.prepare ~device ~xtalk ~threshold t.circuit).instances <> []
 
 let crosstalk_free_paths device ~xtalk ?(threshold = 3.0) ~length () =
   let topo = Device.topology device in

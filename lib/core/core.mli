@@ -62,6 +62,7 @@ module Par_sched = Qcx_scheduler.Par_sched
 module Serial_sched = Qcx_scheduler.Serial_sched
 module Encoding = Qcx_scheduler.Encoding
 module Xtalk_sched = Qcx_scheduler.Xtalk_sched
+module Window_sched = Qcx_scheduler.Window_sched
 module Greedy_sched = Qcx_scheduler.Greedy_sched
 module Barriers = Qcx_scheduler.Barriers
 module Evaluate = Qcx_scheduler.Evaluate

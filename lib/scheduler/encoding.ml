@@ -21,9 +21,20 @@ let edge_of g =
   | [ a; b ] -> Topology.normalize (a, b)
   | _ -> invalid_arg "Encoding: malformed CNOT"
 
-let interfering_instances ~device ~xtalk ~threshold ~dag =
-  let cal = Device.calibration device in
-  let flagged = Crosstalk.high_crosstalk_pairs xtalk cal ~threshold in
+type problem = {
+  circuit : Circuit.t;
+  gates : Gate.t array;
+  preds : int list array;
+  durations : float array;
+  flagged : (Topology.edge * Topology.edge) list;
+  instances : (int * int) list;
+}
+
+let prepare ~device ~xtalk ~threshold circuit =
+  let circuit = Circuit.decompose_swaps circuit in
+  let dag = Dag.of_circuit circuit in
+  let gates = Array.of_list (Circuit.gates circuit) in
+  let flagged = Crosstalk.high_crosstalk_pairs xtalk (Device.calibration device) ~threshold in
   let unordered (a, b) = if a <= b then (a, b) else (b, a) in
   (* Hash the flagged set once instead of scanning the list per
      candidate pair, and drop CNOTs on unflagged edges before the
@@ -42,7 +53,7 @@ let interfering_instances ~device ~xtalk ~threshold ~dag =
   let cnots =
     List.filter
       (fun g -> g.Gate.kind = Gate.Cnot && Hashtbl.mem on_flagged_edge (edge_of g))
-      (Circuit.gates (Dag.circuit dag))
+      (Array.to_list gates)
   in
   let rec pairs = function
     | [] -> []
@@ -59,7 +70,33 @@ let interfering_instances ~device ~xtalk ~threshold ~dag =
         rest
       @ pairs rest
   in
-  pairs cnots
+  {
+    circuit;
+    gates;
+    preds = Array.init (Array.length gates) (Dag.preds dag);
+    durations = Durations.assign device circuit;
+    flagged;
+    instances = pairs cnots;
+  }
+
+let slice p ~lo ~hi =
+  let circuit =
+    Array.fold_left
+      (fun acc g -> Circuit.add acc g.Gate.kind g.Gate.qubits)
+      (Circuit.create (Circuit.nqubits p.circuit))
+      (Array.sub p.gates lo (hi - lo))
+  in
+  {
+    circuit;
+    gates = Array.of_list (Circuit.gates circuit);
+    preds = Dag.direct_preds circuit;
+    durations = Array.sub p.durations lo (hi - lo);
+    flagged = p.flagged;
+    instances =
+      List.filter_map
+        (fun (i, j) -> if lo <= i && j < hi then Some (i - lo, j - lo) else None)
+        p.instances;
+  }
 
 (* Clamp an error rate into a range where -log(1 - eps) is finite and
    the conditional is never below the independent rate (keeps the
@@ -77,9 +114,9 @@ let rec powerset = function
     let sub = powerset rest in
     sub @ List.map (fun s -> x :: s) sub
 
-let build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations () =
+let build ~device ~xtalk ~omega ~instances problem =
   if omega < 0.0 || omega > 1.0 then invalid_arg "Encoding.build: omega out of [0,1]";
-  let circuit = Dag.circuit dag in
+  let { circuit; gates; preds; durations; _ } = problem in
   let cal = Device.calibration device in
   let solver = Solver.create () in
   let tau =
@@ -95,17 +132,17 @@ let build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations () =
   let origin = Solver.new_num solver "origin" in
   Solver.add_span_cost solver ~weight:1e-9 ~last:readout ~first:origin;
   (* Data dependency constraints (eq. 1). *)
-  List.iter
+  Array.iter
     (fun g ->
       let id = g.Gate.id in
       List.iter
         (fun p -> Solver.add_diff solver ~dst:tau.(id) ~src:tau.(p) ~weight:durations.(p) ())
-        (Dag.preds dag id))
-    (Circuit.gates circuit);
+        preds.(id))
+    gates;
   (* Readout synchronization and R as the global sink: R equals every
      measure start, and R bounds every gate's finish so the ALAP pass
      cannot push anything past the readout layer. *)
-  List.iter
+  Array.iter
     (fun g ->
       let id = g.Gate.id in
       if Gate.is_measure g then begin
@@ -113,14 +150,9 @@ let build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations () =
         Solver.add_diff solver ~dst:tau.(id) ~src:readout ~weight:0.0 ()
       end
       else Solver.add_diff solver ~dst:readout ~src:tau.(id) ~weight:durations.(id) ())
-    (Circuit.gates circuit);
+    gates;
   (* Interfering pairs: booleans, exactly-one structure, guarded
      serialization / containment edges. *)
-  let instances =
-    match instances with
-    | Some given -> given
-    | None -> interfering_instances ~device ~xtalk ~threshold ~dag
-  in
   let pairs =
     List.map
       (fun (i, j) ->
@@ -159,8 +191,7 @@ let build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations () =
     pairs;
   Hashtbl.iter
     (fun gate_id plist ->
-      let g = Dag.gate dag gate_id in
-      let target = edge_of g in
+      let target = edge_of gates.(gate_id) in
       let independent = (Calibration.gate cal target).Calibration.cnot_error in
       let scenarios =
         List.map
@@ -176,7 +207,7 @@ let build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations () =
             let eps =
               List.fold_left
                 (fun acc (other, _) ->
-                  let spectator = edge_of (Dag.gate dag other) in
+                  let spectator = edge_of gates.(other) in
                   max acc (conditional_rate xtalk cal ~target ~spectator))
                 independent overlap_subset
             in
@@ -192,13 +223,13 @@ let build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations () =
      400+-qubit devices. *)
   let nq = Circuit.nqubits circuit in
   let first_on = Array.make nq (-1) in
-  List.iter
+  Array.iter
     (fun g ->
       if (not (Gate.is_barrier g)) && not (Gate.is_measure g) then
         List.iter
           (fun q -> if first_on.(q) < 0 then first_on.(q) <- g.Gate.id)
           g.Gate.qubits)
-    (Circuit.gates circuit);
+    gates;
   for q = 0 to nq - 1 do
     if first_on.(q) >= 0 then begin
       let coherence = Calibration.coherence_limit cal q in

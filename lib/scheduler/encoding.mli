@@ -43,20 +43,55 @@ type t = {
   pairs : pair list;
 }
 
+type problem = {
+  circuit : Qcx_circuit.Circuit.t;  (** SWAP-decomposed; gate ids [0 .. n-1] *)
+  gates : Qcx_circuit.Gate.t array;  (** [circuit]'s gates, indexed by id *)
+  preds : int list array;  (** direct DAG predecessors per gate id ({!Qcx_circuit.Dag.preds}) *)
+  durations : float array;  (** {!Durations.assign} per gate id *)
+  flagged : (Qcx_device.Topology.edge * Qcx_device.Topology.edge) list;
+      (** characterized high-crosstalk edge pairs at the threshold *)
+  instances : (int * int) list;  (** pruned CanOlp pairs [(i, j)], [i < j] ({!prepare}) *)
+}
+(** Everything a compile derives from the circuit before any omega is
+    chosen.  One value serves every rung of {!Xtalk_sched}'s ladder,
+    its warm-start hints, the windows of {!Window_sched} (as slices)
+    and {!Evaluate.objective}. *)
+
+val prepare :
+  device:Qcx_device.Device.t ->
+  xtalk:Qcx_device.Crosstalk.t ->
+  threshold:float ->
+  Qcx_circuit.Circuit.t ->
+  problem
+(** Decompose SWAPs, then derive the problem.  [threshold] is the
+    conditional/independent ratio above which a characterized pair
+    counts as high-crosstalk (the paper uses 3).  [instances] is the
+    paper's pruned CanOlp rule, the pairs that receive booleans: of
+    all CNOT pairs that can overlap (neither is a DAG ancestor of the
+    other), only those whose hardware edges form a flagged pair,
+    listed by first gate then second gate in program order.  The one
+    place a compile builds an ancestor closure
+    ({!Qcx_circuit.Dag.of_circuit}); it is dropped once the pairs are
+    enumerated. *)
+
+val slice : problem -> lo:int -> hi:int -> problem
+(** The sub-problem of gate ids [\[lo, hi)], renumbered from 0: the
+    sub-circuit with its own direct predecessors, the durations'
+    [Array.sub], and the instances inside the range shifted by [-lo].
+    Equal to {!prepare} on the sub-circuit, since DAG edges run
+    forward in gate id and every path between two gates of the range
+    stays inside it. *)
+
 val build :
-  ?instances:(int * int) list ->
   device:Qcx_device.Device.t ->
   xtalk:Qcx_device.Crosstalk.t ->
   omega:float ->
-  threshold:float ->
-  dag:Qcx_circuit.Dag.t ->
-  durations:float array ->
-  unit ->
+  instances:(int * int) list ->
+  problem ->
   t
-(** [threshold] is the conditional/independent ratio above which a
-    characterized pair counts as high-crosstalk (the paper uses 3).
-    [instances] overrides the interfering-pair enumeration — used by
-    the cluster decomposition to encode one cluster at a time. *)
+(** Encode [problem] with booleans for [instances] only — the
+    problem's own [instances], or one cluster of them in the cluster
+    decomposition. *)
 
 val warm_hints : ?schedules:Qcx_circuit.Schedule.t list -> t -> bool array list
 (** Candidate full boolean assignments to seed the solver's incumbent
@@ -66,17 +101,6 @@ val warm_hints : ?schedules:Qcx_circuit.Schedule.t list -> t -> bool array list
     assignment per given schedule (pairs overlapping in the schedule
     get [o], the rest the matching order boolean).  Infeasible hints
     cost the solver one propagation each and are otherwise ignored. *)
-
-val interfering_instances :
-  device:Qcx_device.Device.t ->
-  xtalk:Qcx_device.Crosstalk.t ->
-  threshold:float ->
-  dag:Qcx_circuit.Dag.t ->
-  (int * int) list
-(** The gate-id pairs that receive booleans: CNOT instances that may
-    overlap per the DAG and whose hardware edges form a flagged
-    high-crosstalk pair.  Exposed for tests and for the cluster
-    decomposition. *)
 
 val edge_of : Qcx_circuit.Gate.t -> Qcx_device.Topology.edge
 (** The normalized hardware edge of a two-qubit gate. *)

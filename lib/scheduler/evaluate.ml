@@ -4,7 +4,6 @@ module Schedule = Qcx_circuit.Schedule
 module Device = Qcx_device.Device
 module Calibration = Qcx_device.Calibration
 module Crosstalk = Qcx_device.Crosstalk
-module Topology = Qcx_device.Topology
 
 type breakdown = {
   gate_success : float;
@@ -13,11 +12,6 @@ type breakdown = {
   success : float;
   error : float;
 }
-
-let edge_of g =
-  match g.Gate.qubits with
-  | [ a; b ] -> Topology.normalize (a, b)
-  | _ -> invalid_arg "Evaluate: malformed CNOT"
 
 let breakdown_of device sched ~cnot_error =
   let circuit = Schedule.circuit sched in
@@ -78,7 +72,7 @@ let model device ~xtalk sched =
   let circuit = Schedule.circuit sched in
   let cal = Device.calibration device in
   breakdown_of device sched ~cnot_error:(fun g ->
-      let target = edge_of g in
+      let target = Encoding.edge_of g in
       let independent = (Calibration.gate cal target).Calibration.cnot_error in
       (* The paper's rule: the worst conditional rate among overlapping
          gates (eq. 7). *)
@@ -89,13 +83,13 @@ let model device ~xtalk sched =
             && Gate.is_two_qubit other
             && Schedule.overlaps sched g.Gate.id other.Gate.id
           then
-            match Crosstalk.conditional xtalk ~target ~spectator:(edge_of other) with
+            match Crosstalk.conditional xtalk ~target ~spectator:(Encoding.edge_of other) with
             | Some c -> max acc c
             | None -> acc
           else acc)
         independent (Circuit.gates circuit))
 
-let objective ?(threshold = 3.0) ~omega device ~xtalk sched =
+let objective ~omega device ~xtalk (problem : Encoding.problem) sched =
   (* Recompute the encoding's eq. 17 objective from a finished
      schedule, so schedules produced by different rungs (exact vs
      windowed vs greedy) can be compared on equal terms.  Mirrors
@@ -103,14 +97,12 @@ let objective ?(threshold = 3.0) ~omega device ~xtalk sched =
      which is omitted (it exists only to pick among equal optima). *)
   let circuit = Schedule.circuit sched in
   let cal = Device.calibration device in
-  let dag = Qcx_circuit.Dag.of_circuit circuit in
-  let instances = Encoding.interfering_instances ~device ~xtalk ~threshold ~dag in
   let plists = Array.make (Circuit.length circuit) [] in
   List.iter
     (fun (i, j) ->
       plists.(i) <- j :: plists.(i);
       plists.(j) <- i :: plists.(j))
-    instances;
+    problem.instances;
   (* Gate error terms: CNOTs with no interfering partner pay a
      schedule-independent cost and are omitted, as in the encoding. *)
   let gate_cost = ref 0.0 in
@@ -119,13 +111,13 @@ let objective ?(threshold = 3.0) ~omega device ~xtalk sched =
       match plists.(g.Gate.id) with
       | [] -> ()
       | partners ->
-        let target = edge_of g in
+        let target = Encoding.edge_of g in
         let independent = (Calibration.gate cal target).Calibration.cnot_error in
         let eps =
           List.fold_left
             (fun acc other ->
               if Schedule.overlaps sched g.Gate.id other then
-                let spectator = edge_of (Qcx_circuit.Dag.gate dag other) in
+                let spectator = Encoding.edge_of problem.gates.(other) in
                 max acc (Encoding.conditional_rate xtalk cal ~target ~spectator)
               else acc)
             independent partners

@@ -25,13 +25,15 @@ val model :
 (** Uses characterized data and the paper's max-over-overlaps rule. *)
 
 val objective :
-  ?threshold:float ->
   omega:float ->
   Qcx_device.Device.t ->
   xtalk:Qcx_device.Crosstalk.t ->
+  Encoding.problem ->
   Qcx_circuit.Schedule.t ->
   float
-(** Recompute the encoding's eq. 17 objective from a schedule:
+(** Recompute the encoding's eq. 17 objective from a schedule of the
+    problem's circuit (the interfering instances are the problem's, so
+    the threshold is the one it was prepared at):
     [omega * sum -log(1 - eps_g)] over CNOTs with at least one
     interfering instance (eps is the worst conditional rate among
     partners actually overlapping in the schedule), plus

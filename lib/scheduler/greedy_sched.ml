@@ -1,11 +1,5 @@
-module Circuit = Qcx_circuit.Circuit
-module Dag = Qcx_circuit.Dag
-
-let schedule ?(threshold = 3.0) ~device ~xtalk circuit =
-  let circuit = Circuit.decompose_swaps circuit in
-  let dag = Dag.of_circuit circuit in
-  let instances = Encoding.interfering_instances ~device ~xtalk ~threshold ~dag in
+let schedule device (problem : Encoding.problem) =
   (* Program order decides each pair's direction; ids are assigned in
      program order, so (min, max) is "earlier gate first". *)
-  let extra = List.map (fun (i, j) -> (min i j, max i j)) instances in
-  (Par_sched.schedule_with_orderings device circuit ~extra, List.length extra)
+  let extra = List.map (fun (i, j) -> (min i j, max i j)) problem.instances in
+  (Par_sched.schedule_with_orderings device problem.circuit ~extra, List.length extra)

@@ -8,11 +8,9 @@
     what the paper's exact optimization buys over the obvious greedy
     fix, and a practical fallback for very large programs. *)
 
-val schedule :
-  ?threshold:float ->
-  device:Qcx_device.Device.t ->
-  xtalk:Qcx_device.Crosstalk.t ->
-  Qcx_circuit.Circuit.t ->
-  Qcx_circuit.Schedule.t * int
-(** Returns the schedule and the number of instance pairs serialized.
-    SWAPs are decomposed internally; [threshold] defaults to 3. *)
+val schedule : Qcx_device.Device.t -> Encoding.problem -> Qcx_circuit.Schedule.t * int
+(** Returns the schedule of the problem's (SWAP-decomposed) circuit
+    and the number of instance pairs serialized — the problem's
+    [instances], so the threshold is the one it was prepared at.  As
+    the ladder's Greedy rung and as a warm-start hint it reads the
+    compile's one preparation and derives nothing again. *)

@@ -1,9 +1,6 @@
 module Circuit = Qcx_circuit.Circuit
 module Gate = Qcx_circuit.Gate
-module Dag = Qcx_circuit.Dag
 module Schedule = Qcx_circuit.Schedule
-module Device = Qcx_device.Device
-module Crosstalk = Qcx_device.Crosstalk
 module Topology = Qcx_device.Topology
 module Solver = Qcx_smt.Solver
 module Pool = Qcx_util.Pool
@@ -110,9 +107,9 @@ let pin_decisions enc decisions =
    order already respects the DAG, so id-contiguous windows never cut
    a dependency backwards — every predecessor of a gate lives in the
    same or an earlier window. *)
-let partition ~window_gates circuit =
-  let n = Circuit.length circuit in
-  let gates = Array.of_list (Circuit.gates circuit) in
+let partition ~window_gates (problem : Encoding.problem) =
+  let gates = problem.gates in
+  let n = Array.length gates in
   let suffix_start =
     let rec scan i = if i >= n then n else if Gate.is_measure gates.(i) then i else scan (i + 1) in
     scan 0
@@ -124,43 +121,19 @@ let partition ~window_gates circuit =
       let hi = if i = nwin - 1 then n else min suffix_start ((i + 1) * w) in
       (lo, hi))
 
-type window = {
-  lo : int;  (** first original gate id of the window *)
-  sub : Circuit.t;
-  dag : Dag.t;
-  durations : float array;
-  instances : (int * int) list;  (** window-local gate ids *)
-}
-
-let prepare ~device ~xtalk ~threshold circuit (lo, hi) =
-  let gates = Array.of_list (Circuit.gates circuit) in
-  let sub = ref (Circuit.create (Circuit.nqubits circuit)) in
-  for id = lo to hi - 1 do
-    let g = gates.(id) in
-    sub := Circuit.add !sub g.Gate.kind g.Gate.qubits
-  done;
-  let sub = !sub in
-  let dag = Dag.of_circuit sub in
-  let durations = Durations.assign device sub in
-  let instances = Encoding.interfering_instances ~device ~xtalk ~threshold ~dag in
-  { lo; sub; dag; durations; instances }
-
 (* Phase 1: solve one window's clusters (sequentially — phase 1 runs
    window-parallel on the pool, which must not be re-entered).
    Returns the window's encoding builder for the phase-2 replay. *)
-let solve_window ~node_budget ~deadline ~omega ~threshold ~device ~xtalk w =
-  let build ~instances =
-    Encoding.build ~instances ~device ~xtalk ~omega ~threshold ~dag:w.dag
-      ~durations:w.durations ()
-  in
+let solve_window ~node_budget ~deadline ~omega ~device ~xtalk (w : Encoding.problem) =
+  let build ~instances = Encoding.build ~device ~xtalk ~omega ~instances w in
   (* Built on first use, so a window without clusters skips it; the
      cluster solves below run sequentially, never forcing it twice at
      once. *)
   let hint_schedules =
     lazy
       (let from f = match f () with s -> [ s ] | exception _ -> [] in
-       from (fun () -> Par_sched.schedule device w.sub)
-       @ from (fun () -> fst (Greedy_sched.schedule ~threshold ~device ~xtalk w.sub)))
+       from (fun () -> Par_sched.schedule device w.circuit)
+       @ from (fun () -> fst (Greedy_sched.schedule device w)))
   in
   let warm enc = Encoding.warm_hints ~schedules:(Lazy.force hint_schedules) enc in
   let nclusters, nodes, decisions =
@@ -170,26 +143,22 @@ let solve_window ~node_budget ~deadline ~omega ~threshold ~device ~xtalk w =
 
 exception Stitch_failed
 
-let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~jobs ~device
-    ~xtalk circuit =
+let schedule ~window_gates ~omega ~node_budget ~deadline ~jobs ~device ~xtalk
+    (problem : Encoding.problem) =
+  let circuit = problem.circuit in
   let n = Circuit.length circuit in
   if n = 0 then None
   else begin
     try
-      let cal = Device.calibration device in
       (* Flagged-pair adjacency for the cross-window crosstalk
          frontier: which hardware edges interfere with which. *)
       let partners : (Topology.edge, Topology.edge list) Hashtbl.t = Hashtbl.create 16 in
       let note a b =
         Hashtbl.replace partners a (b :: Option.value ~default:[] (Hashtbl.find_opt partners a))
       in
-      List.iter
-        (fun (e1, e2) -> note e1 e2; note e2 e1)
-        (Crosstalk.high_crosstalk_pairs xtalk cal ~threshold);
-      let prepared =
-        Array.of_list
-          (List.map (prepare ~device ~xtalk ~threshold circuit) (partition ~window_gates circuit))
-      in
+      List.iter (fun (e1, e2) -> note e1 e2; note e2 e1) problem.flagged;
+      let windows = Array.of_list (partition ~window_gates problem) in
+      let prepared = Array.map (fun (lo, hi) -> Encoding.slice problem ~lo ~hi) windows in
       (* Phase 1: per-window cluster solves, pool-parallel across
          windows.  Results merge in window order, and window-local
          work derives nothing from the chunking, so the decisions are
@@ -197,8 +166,7 @@ let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~job
       let solved =
         Pool.parallel_chunks ~jobs ~n:(Array.length prepared) (fun ~lo ~hi ->
             Array.init (hi - lo) (fun k ->
-                solve_window ~node_budget ~deadline ~omega ~threshold ~device ~xtalk
-                  prepared.(lo + k)))
+                solve_window ~node_budget ~deadline ~omega ~device ~xtalk prepared.(lo + k)))
         |> List.concat_map Array.to_list
         |> Array.of_list
       in
@@ -218,12 +186,12 @@ let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~job
       let releases = ref 0 in
       Array.iteri
         (fun wi (build, nclusters, nodes, decisions) ->
-          let w = prepared.(wi) in
+          let w = prepared.(wi) and lo = fst windows.(wi) in
           total_nodes := !total_nodes + nodes;
           total_clusters := !total_clusters + nclusters;
           let enc = build ~instances:w.instances in
           pin_decisions enc decisions;
-          List.iter
+          Array.iter
             (fun (g : Gate.t) ->
               let dep =
                 List.fold_left (fun acc q -> Float.max acc frontier.(q)) 0.0 g.Gate.qubits
@@ -245,18 +213,18 @@ let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~job
               if rel > 0.0 then
                 Solver.add_release enc.Encoding.solver ~var:enc.Encoding.tau.(g.Gate.id)
                   ~time:rel)
-            (Circuit.gates w.sub);
+            w.gates;
           match
             Solver.solve ~node_budget ?deadline_seconds:(deadline ()) enc.Encoding.solver
           with
           | None -> raise Stitch_failed
           | Some sol ->
             total_nodes := !total_nodes + sol.Solver.nodes;
-            List.iter
+            Array.iter
               (fun (g : Gate.t) ->
                 let s = g.Gate.id in
                 let t = sol.Solver.nums.(enc.Encoding.tau.(s)) in
-                starts.(w.lo + s) <- t;
+                starts.(lo + s) <- t;
                 let fin = t +. w.durations.(s) in
                 List.iter
                   (fun q -> if fin > frontier.(q) then frontier.(q) <- fin)
@@ -267,14 +235,15 @@ let schedule ?(window_gates = 160) ~omega ~threshold ~node_budget ~deadline ~job
                   | Some t0 when t0 >= fin -> ()
                   | _ -> Hashtbl.replace edge_last e fin
                 end)
-              (Circuit.gates w.sub))
+              w.gates)
         solved;
-      let durations = Durations.assign device circuit in
-      let sched = Schedule.shift_to_zero (Schedule.make circuit ~starts ~durations) in
+      let sched =
+        Schedule.shift_to_zero (Schedule.make circuit ~starts ~durations:problem.durations)
+      in
       (match Schedule.validate sched with
       | Ok () -> ()
       | Error _ -> raise Stitch_failed);
-      let objective = Evaluate.objective ~threshold ~omega device ~xtalk sched in
+      let objective = Evaluate.objective ~omega device ~xtalk problem sched in
       Some
         {
           schedule = sched;

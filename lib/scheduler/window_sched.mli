@@ -2,7 +2,9 @@
 
     The exact encoding cannot follow circuits past a few hundred gates
     (the replayed full encoding alone becomes the bottleneck), so this
-    module partitions the gate stream into id-contiguous time windows,
+    module partitions the gate stream into id-contiguous time windows
+    — each a slice of the compile's one {!Encoding.problem}
+    ({!Encoding.slice}), so no window re-derives its DAG or pairs —
     solves each window's interfering-pair clusters with the solver
     (pool-parallel {e across} windows), and stitches the
     committed windows together with boundary constraints:
@@ -42,11 +44,6 @@ type result = {
           partner (beyond plain qubit availability) *)
 }
 
-val clusters_of : (int * int) list -> (int * int) list list
-(** Connected components of instances sharing a gate, sorted by
-    smallest member for a [jobs]-independent order.  Shared with
-    [Xtalk_sched]'s clustered rung. *)
-
 val solve_cluster_decisions :
   jobs:int ->
   node_budget:int ->
@@ -64,21 +61,27 @@ val pin_decisions : Encoding.t -> ((int * int) * (bool * bool * bool)) list -> u
 (** Pin an encoding's pair booleans to the given decisions with unit
     clauses; undecided pairs stay free. *)
 
+val partition : window_gates:int -> Encoding.problem -> (int * int) list
+(** The windows as gate-id ranges [(lo, hi)], [hi] exclusive, in
+    order: the gates before the first measure in chunks of
+    [window_gates] (at least 1), the last window running to the end
+    so the measure suffix joins it.  Each window is solved as
+    [Encoding.slice problem ~lo ~hi]. *)
+
 val schedule :
-  ?window_gates:int ->
+  window_gates:int ->
   omega:float ->
-  threshold:float ->
   node_budget:int ->
   deadline:(unit -> float option) ->
   jobs:int ->
   device:Qcx_device.Device.t ->
   xtalk:Qcx_device.Crosstalk.t ->
-  Qcx_circuit.Circuit.t ->
+  Encoding.problem ->
   result option
-(** Schedule an already-SWAP-decomposed circuit in windows of
-    [window_gates] gates (default 160; the measure suffix always joins
-    the final window so readout stays synchronized).  [deadline] is a
-    thunk yielding the remaining solver deadline, polled before every
-    solve.  Returns [None] on any failure — deadline expiry mid-stitch,
-    invalid composed schedule — letting the ladder fall through to
-    greedy. *)
+(** Schedule a prepared problem in the windows of {!partition}.  Each
+    window is a slice of the problem, so nothing is re-derived per
+    window, and the crosstalk frontier reads the problem's flagged
+    pairs.  [deadline] is a thunk yielding the remaining solver
+    deadline, polled before every solve.  Returns [None] on any
+    failure — deadline expiry mid-stitch, invalid composed schedule —
+    letting the ladder fall through to greedy. *)

@@ -1,5 +1,4 @@
 module Circuit = Qcx_circuit.Circuit
-module Dag = Qcx_circuit.Dag
 module Schedule = Qcx_circuit.Schedule
 module Solver = Qcx_smt.Solver
 module Pool = Qcx_util.Pool
@@ -36,40 +35,13 @@ let extract_schedule circuit durations encoding (solution : Solver.solution) =
   in
   Schedule.shift_to_zero (Schedule.make circuit ~starts ~durations)
 
-(* The core scheduler over an already-SWAP-decomposed circuit, with
-   optionally precomputed DAG/durations/instances ([tune_omega] shares
-   one preparation across every omega candidate). *)
-let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadline_seconds
-    ~ladder_start ~window_gates ~jobs ~device ~xtalk ~prep circuit =
-  if omega >= 1.0 then begin
-    (* omega = 1 ignores decoherence entirely; any serialization is
-       then optimal and the paper equates this setting with
-       SerialSched (Table 1, Sections 9.2/9.3). *)
-    let sched = Serial_sched.schedule device circuit in
-    let instances =
-      match prep with
-      | Some (_, _, instances) -> instances
-      | None ->
-        let dag = Dag.of_circuit circuit in
-        Encoding.interfering_instances ~device ~xtalk ~threshold ~dag
-    in
-    let idle_total, idle_max = Idle.summarize sched in
-    ( sched,
-      {
-        pairs = List.length instances;
-        clusters = 1;
-        windows = 0;
-        nodes = 0;
-        optimal = true;
-        objective = nan;
-        solve_seconds = 0.0;
-        cpu_seconds = 0.0;
-        idle_total;
-        idle_max;
-        rung = Exact;
-      } )
-  end
-  else begin
+(* The core scheduler.  [prepare] yields the compile's one
+   {!Encoding.problem}; it runs inside the ladder's guard, so a failed
+   preparation still serves ParSched over [circuit], SWAPs decomposed.
+   ([tune_omega] shares one preparation across every omega
+   candidate.) *)
+let schedule_prepared ~omega ~node_budget ~max_exact_pairs ~deadline_seconds ~ladder_start
+    ~window_gates ~jobs ~device ~xtalk ~prepare circuit =
   let t0 = Sys.time () in
   let wall0 = Unix.gettimeofday () in
   (* Remaining share of the compile deadline; every solver call below
@@ -102,48 +74,40 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
         rung;
       } )
   in
-  let parallel_rung () = (Par_sched.schedule device circuit, 0, false, nan, 0, 0, Parallel) in
-  let greedy_rung () =
-    match Greedy_sched.schedule ~threshold ~device ~xtalk circuit with
-    | sched, _serialized -> (sched, 0, false, nan, 0, 0, Greedy)
-    | exception _ -> parallel_rung ()
-  in
-  let windowed_rung () =
-    match
-      Window_sched.schedule ~window_gates ~omega ~threshold ~node_budget
-        ~deadline:remaining ~jobs ~device ~xtalk circuit
-    with
-    | Some r ->
-      ( r.Window_sched.schedule,
-        r.Window_sched.nodes,
-        false,
-        r.Window_sched.objective,
-        r.Window_sched.clusters,
-        r.Window_sched.windows,
-        Windowed )
-    | None -> greedy_rung ()
-    | exception _ -> greedy_rung ()
-  in
+  let parallel_rung circuit = (Par_sched.schedule device circuit, 0, false, nan, 0, 0, Parallel) in
   match
-    let dag, durations, instances =
-      match prep with
-      | Some p -> p
-      | None ->
-        let durations = Durations.assign device circuit in
-        let dag = Dag.of_circuit circuit in
-        let instances = Encoding.interfering_instances ~device ~xtalk ~threshold ~dag in
-        (dag, durations, instances)
+    let problem : Encoding.problem = prepare () in
+    let { Encoding.circuit; durations; instances; _ } = problem in
+    let parallel_rung () = parallel_rung circuit in
+    let greedy_rung () =
+      match Greedy_sched.schedule device problem with
+      | sched, _serialized -> (sched, 0, false, nan, 0, 0, Greedy)
+      | exception _ -> parallel_rung ()
     in
-    let build ?instances () =
-      Encoding.build ?instances ~device ~xtalk ~omega ~threshold ~dag ~durations ()
+    let windowed_rung () =
+      match
+        Window_sched.schedule ~window_gates ~omega ~node_budget ~deadline:remaining ~jobs
+          ~device ~xtalk problem
+      with
+      | Some r ->
+        ( r.Window_sched.schedule,
+          r.Window_sched.nodes,
+          false,
+          r.Window_sched.objective,
+          r.Window_sched.clusters,
+          r.Window_sched.windows,
+          Windowed )
+      | None -> greedy_rung ()
+      | exception _ -> greedy_rung ()
     in
+    let build ~instances = Encoding.build ~device ~xtalk ~omega ~instances problem in
     (* Cheap list schedules whose pair decisions seed the solver's
        incumbent; built on first use only. *)
     let hint_schedules =
       lazy
         (let from f = match f () with s -> [ s ] | exception _ -> [] in
          from (fun () -> Par_sched.schedule device circuit)
-         @ from (fun () -> fst (Greedy_sched.schedule ~threshold ~device ~xtalk circuit)))
+         @ from (fun () -> fst (Greedy_sched.schedule device problem)))
     in
     let warm_starts enc = Encoding.warm_hints ~schedules:(Lazy.force hint_schedules) enc in
     let solve ?(warm = true) enc =
@@ -169,12 +133,10 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
              must not be forced concurrently from several domains. *)
           ignore (Lazy.force hint_schedules);
           let nclusters, cluster_nodes, decisions =
-            Window_sched.solve_cluster_decisions ~jobs ~node_budget
-              ~deadline:remaining
-              ~build:(fun ~instances -> build ~instances ())
+            Window_sched.solve_cluster_decisions ~jobs ~node_budget ~deadline:remaining ~build
               ~warm:warm_starts instances
           in
-          let enc = build ~instances () in
+          let enc = build ~instances in
           (* Pin every boolean with unit clauses; a single propagation
              then reaches the unique leaf.  Pairs whose cluster timed out
              without an incumbent stay free, so give the replay solve its
@@ -204,7 +166,7 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
       then cluster_rung ()
       else begin
         match
-          let enc = build ~instances () in
+          let enc = build ~instances in
           solve enc |> Option.map (fun sol -> (enc, sol))
         with
         | Some (enc, sol) ->
@@ -221,45 +183,43 @@ let schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadlin
       end
     in
     let result =
-      match ladder_start with
-      | Exact | Incumbent -> exact_rung ()
-      | Clustered -> cluster_rung ()
-      | Windowed -> windowed_rung ()
-      | Greedy -> greedy_rung ()
-      | Parallel -> parallel_rung ()
+      if omega >= 1.0 then
+        (* omega = 1 ignores decoherence entirely; any serialization is
+           then optimal and the paper equates this setting with
+           SerialSched (Table 1, Sections 9.2/9.3). *)
+        (Serial_sched.schedule device circuit, 0, true, nan, 1, 0, Exact)
+      else
+        match ladder_start with
+        | Exact | Incumbent -> exact_rung ()
+        | Clustered -> cluster_rung ()
+        | Windowed -> windowed_rung ()
+        | Greedy -> greedy_rung ()
+        | Parallel -> parallel_rung ()
     in
     (result, List.length instances)
   with
   | result, pairs -> finish ~pairs result
   | exception _ ->
-    (* Even building the encoding failed (malformed crosstalk data,
+    (* Even preparing the problem failed (malformed crosstalk data,
        pathological DAG): serve the parallel schedule rather than
        failing the compile. *)
-    finish ~pairs:0 (parallel_rung ())
-  end
+    finish ~pairs:0 (parallel_rung (Circuit.decompose_swaps circuit))
 
 let schedule ?(omega = 0.5) ?(threshold = 3.0) ?(node_budget = 2_000_000)
     ?(max_exact_pairs = 14) ?deadline_seconds ?(ladder_start = Exact)
     ?(window_gates = 160) ?(jobs = 1) ~device ~xtalk circuit =
-  let circuit = Circuit.decompose_swaps circuit in
-  schedule_decomposed ~omega ~threshold ~node_budget ~max_exact_pairs ~deadline_seconds
-    ~ladder_start ~window_gates ~jobs ~device ~xtalk ~prep:None circuit
+  schedule_prepared ~omega ~node_budget ~max_exact_pairs ~deadline_seconds ~ladder_start
+    ~window_gates ~jobs ~device ~xtalk
+    ~prepare:(fun () -> Encoding.prepare ~device ~xtalk ~threshold circuit)
+    circuit
 
 let tune_omega ?(candidates = [ 0.0; 0.05; 0.2; 0.5; 0.8; 1.0 ]) ?(threshold = 3.0)
     ?(jobs = 1) ~device ~xtalk circuit =
   if candidates = [] then invalid_arg "Xtalk_sched.tune_omega: no candidates";
-  let circuit = Circuit.decompose_swaps circuit in
-  (* One DAG/durations/instances preparation shared by every omega
-     candidate (the interfering-pair enumeration does not depend on
-     omega).  If preparation fails, each candidate's ladder handles it
-     on its own. *)
-  let prep =
-    try
-      let durations = Durations.assign device circuit in
-      let dag = Dag.of_circuit circuit in
-      Some (dag, durations, Encoding.interfering_instances ~device ~xtalk ~threshold ~dag)
-    with _ -> None
-  in
+  (* One preparation shared by every omega candidate (nothing in it
+     depends on omega).  If it fails, every candidate's ladder serves
+     ParSched. *)
+  let problem = try Some (Encoding.prepare ~device ~xtalk ~threshold circuit) with _ -> None in
   let arr = Array.of_list candidates in
   let scored =
     Pool.parallel_chunks ~jobs ~n:(Array.length arr) (fun ~lo ~hi ->
@@ -269,9 +229,11 @@ let tune_omega ?(candidates = [ 0.0; 0.05; 0.2; 0.5; 0.8; 1.0 ]) ?(threshold = 3
                sequentially — the pool must not be re-entered from a
                worker domain. *)
             let sched, stats =
-              schedule_decomposed ~omega ~threshold ~node_budget:2_000_000
-                ~max_exact_pairs:14 ~deadline_seconds:None ~ladder_start:Exact
-                ~window_gates:160 ~jobs:1 ~device ~xtalk ~prep circuit
+              schedule_prepared ~omega ~node_budget:2_000_000 ~max_exact_pairs:14
+                ~deadline_seconds:None ~ladder_start:Exact ~window_gates:160 ~jobs:1 ~device
+                ~xtalk
+                ~prepare:(fun () -> Option.get problem)
+                circuit
             in
             let err = (Evaluate.model device ~xtalk sched).Evaluate.error in
             (err, (omega, sched, stats))))

@@ -65,9 +65,10 @@ val tune_omega :
     candidates: [0.; 0.05; 0.2; 0.5; 0.8; 1.].  Returns the chosen
     omega with its schedule and stats.
 
-    The SWAP decomposition, DAG, durations and interfering-pair
-    enumeration are computed once and shared by all candidates (none
-    depends on omega); with [jobs > 1] the candidates are compiled
+    One {!Encoding.prepare} (SWAP decomposition, DAG predecessors,
+    durations, flagged pairs, interfering instances) is shared by all
+    candidates, since none of it depends on omega; if it fails, every
+    candidate serves ParSched.  With [jobs > 1] the candidates are compiled
     concurrently on the domain pool, ties broken toward the earlier
     candidate regardless of [jobs].  Must be called from the domain
     that owns the pool (not from inside another parallel region). *)
@@ -96,6 +97,9 @@ val schedule :
     degrades rung by rung — best-so-far incumbent, per-cluster
     decomposition, windowed hierarchical solve, GreedySched, finally
     ParSched — and [stats.rung] records which rung actually served it.
+    The compile prepares one {!Encoding.problem} inside that guard
+    (a failed preparation serves ParSched with [pairs = 0]); every
+    rung, warm-start hint and {!Evaluate.objective} reads it.
     [deadline_seconds] is a wall-clock bound shared by all solver
     calls of the compile.  [ladder_start] (default [Exact]) starts the
     descent lower — useful for very large programs and for testing the

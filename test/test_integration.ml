@@ -77,8 +77,10 @@ let barrier_deployment_equivalence () =
   let bench = Core.Swap_circuits.build device ~src:5 ~dst:12 in
   let circuit = Circuit.measure_all bench.Core.Swap_circuits.circuit in
   let direct, _ = Core.Xtalk_sched.schedule ~omega:0.5 ~device ~xtalk circuit in
-  let dag = Core.Dag.of_circuit (Schedule.circuit direct) in
-  let instances = Core.Encoding.interfering_instances ~device ~xtalk ~threshold:3.0 ~dag in
+  let instances =
+    (Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 (Schedule.circuit direct))
+      .Core.Encoding.instances
+  in
   let serialized = Core.Barriers.serialized_pairs direct ~pairs:instances in
   let deployed = Core.Par_sched.schedule_with_orderings device circuit ~extra:serialized in
   let err s = (Core.Evaluate.oracle device s).Core.Evaluate.error in

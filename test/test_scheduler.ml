@@ -22,6 +22,9 @@ let truth = Device.ground_truth pough
 let swap_circuit src dst =
   Circuit.measure_all (Core.Swap_circuits.build pough ~src ~dst).Core.Swap_circuits.circuit
 
+let prepared ?(device = pough) ~xtalk c = Encoding.prepare ~device ~xtalk ~threshold:3.0 c
+let instances_of ?device ~xtalk c = (prepared ?device ~xtalk c).Encoding.instances
+
 (* ---- Routing ---- *)
 
 let routing_meet_in_middle () =
@@ -144,7 +147,7 @@ let schedule_with_orderings_cycle_detected () =
 let encoding_instances () =
   let c = swap_circuit 0 13 in
   let dag = Dag.of_circuit c in
-  let instances = Encoding.interfering_instances ~device:pough ~xtalk:truth ~threshold:3.0 ~dag in
+  let instances = instances_of ~xtalk:truth c in
   Alcotest.(check int) "nine instances on fig6 path" 9 (List.length instances);
   List.iter
     (fun (i, j) ->
@@ -160,9 +163,8 @@ let encoding_instances () =
 let encoding_no_instances_without_crosstalk () =
   let c = swap_circuit 15 19 in
   (* path along the bottom row: no flagged pairs *)
-  let dag = Dag.of_circuit c in
   Alcotest.(check (list (pair int int))) "no instances" []
-    (Encoding.interfering_instances ~device:pough ~xtalk:Core.Crosstalk.empty ~threshold:3.0 ~dag)
+    (instances_of ~xtalk:Core.Crosstalk.empty c)
 
 (* ---- XtalkSched ---- *)
 
@@ -176,8 +178,7 @@ let xtalk_valid_schedule () =
 let xtalk_serializes_flagged_pairs () =
   let c = swap_circuit 0 13 in
   let s, _ = Xtalk_sched.schedule ~omega:0.5 ~device:pough ~xtalk:truth c in
-  let dag = Dag.of_circuit (Schedule.circuit s) in
-  let instances = Encoding.interfering_instances ~device:pough ~xtalk:truth ~threshold:3.0 ~dag in
+  let instances = instances_of ~xtalk:truth (Schedule.circuit s) in
   List.iter
     (fun (i, j) ->
       Alcotest.(check bool) "interfering pair serialized" false (Schedule.overlaps s i j))
@@ -208,8 +209,7 @@ let xtalk_cluster_decomposition_path () =
   (match Schedule.validate s with Ok () -> () | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "decomposed" true (stats.Xtalk_sched.clusters >= 1);
   Alcotest.(check bool) "not claimed optimal" false stats.Xtalk_sched.optimal;
-  let dag = Dag.of_circuit (Schedule.circuit s) in
-  let instances = Encoding.interfering_instances ~device:pough ~xtalk:truth ~threshold:3.0 ~dag in
+  let instances = instances_of ~xtalk:truth (Schedule.circuit s) in
   List.iter
     (fun (i, j) -> Alcotest.(check bool) "still serialized" false (Schedule.overlaps s i j))
     instances
@@ -267,11 +267,10 @@ let xtalk_empty_xtalk_matches_par_objective () =
 
 let greedy_valid_and_serializes () =
   let c = swap_circuit 0 13 in
-  let s, pairs = Core.Greedy_sched.schedule ~device:pough ~xtalk:truth c in
+  let s, pairs = Core.Greedy_sched.schedule pough (prepared ~xtalk:truth c) in
   Alcotest.(check int) "nine pairs serialized" 9 pairs;
   (match Schedule.validate s with Ok () -> () | Error e -> Alcotest.fail e);
-  let dag = Dag.of_circuit (Schedule.circuit s) in
-  let instances = Encoding.interfering_instances ~device:pough ~xtalk:truth ~threshold:3.0 ~dag in
+  let instances = instances_of ~xtalk:truth (Schedule.circuit s) in
   List.iter
     (fun (i, j) -> Alcotest.(check bool) "no overlap" false (Schedule.overlaps s i j))
     instances
@@ -284,7 +283,7 @@ let greedy_never_better_than_exact () =
     (fun (src, dst) ->
       let c = swap_circuit src dst in
       let xs, _ = Xtalk_sched.schedule ~omega:0.5 ~device:pough ~xtalk:truth c in
-      let gs, _ = Core.Greedy_sched.schedule ~device:pough ~xtalk:truth c in
+      let gs, _ = Core.Greedy_sched.schedule pough (prepared ~xtalk:truth c) in
       let err s = (Evaluate.oracle pough s).Evaluate.error in
       Alcotest.(check bool)
         (Printf.sprintf "(%d,%d) exact %.3f <= greedy %.3f + slack" src dst (err xs) (err gs))
@@ -294,7 +293,7 @@ let greedy_never_better_than_exact () =
 
 let greedy_no_crosstalk_is_parsched () =
   let c = swap_circuit 0 13 in
-  let s, pairs = Core.Greedy_sched.schedule ~device:pough ~xtalk:Core.Crosstalk.empty c in
+  let s, pairs = Core.Greedy_sched.schedule pough (prepared ~xtalk:Core.Crosstalk.empty c) in
   Alcotest.(check int) "no pairs" 0 pairs;
   Alcotest.(check (float 1e-6)) "same duration as ParSched"
     (Evaluate.duration (Par_sched.schedule pough (Circuit.decompose_swaps c)))
@@ -305,8 +304,7 @@ let greedy_no_crosstalk_is_parsched () =
 let barriers_roundtrip () =
   let c = swap_circuit 0 13 in
   let s, _ = Xtalk_sched.schedule ~omega:0.5 ~device:pough ~xtalk:truth c in
-  let dag = Dag.of_circuit (Schedule.circuit s) in
-  let instances = Encoding.interfering_instances ~device:pough ~xtalk:truth ~threshold:3.0 ~dag in
+  let instances = instances_of ~xtalk:truth (Schedule.circuit s) in
   let serialized = Barriers.serialized_pairs s ~pairs:instances in
   Alcotest.(check int) "all nine serialized" 9 (List.length serialized);
   let barriered = Barriers.insert s ~serialized in
@@ -314,10 +312,7 @@ let barriers_roundtrip () =
      flagged pair serialized. *)
   let replay = Par_sched.schedule pough barriered in
   (match Schedule.validate replay with Ok () -> () | Error e -> Alcotest.fail e);
-  let dag2 = Dag.of_circuit barriered in
-  let instances2 =
-    Encoding.interfering_instances ~device:pough ~xtalk:truth ~threshold:3.0 ~dag:dag2
-  in
+  let instances2 = instances_of ~xtalk:truth barriered in
   (* After barrier insertion the pairs are DAG-ordered, so no instance
      may remain that overlaps in the replayed schedule. *)
   List.iter
@@ -454,7 +449,7 @@ let prop_schedulers_valid =
       let ok s = Result.is_ok (Schedule.validate s) in
       ok (Par_sched.schedule fuzz_device c)
       && ok (Serial_sched.schedule fuzz_device c)
-      && ok (fst (Core.Greedy_sched.schedule ~device:fuzz_device ~xtalk:fuzz_truth c))
+      && ok (fst (Core.Greedy_sched.schedule fuzz_device (prepared ~device:fuzz_device ~xtalk:fuzz_truth c)))
       && ok (fst (Xtalk_sched.schedule ~omega:0.5 ~device:fuzz_device ~xtalk:fuzz_truth c)))
 
 let prop_xtalk_never_worse_than_both_baselines =
@@ -474,10 +469,7 @@ let prop_xtalk_serializes_all_instances =
     (QCheck.make gen_fuzz_ops) (fun ops ->
       let c = fuzz_circuit ops in
       let s, _ = Xtalk_sched.schedule ~omega:0.9 ~device:fuzz_device ~xtalk:fuzz_truth c in
-      let dag = Dag.of_circuit (Schedule.circuit s) in
-      let instances =
-        Encoding.interfering_instances ~device:fuzz_device ~xtalk:fuzz_truth ~threshold:3.0 ~dag
-      in
+      let instances = instances_of ~device:fuzz_device ~xtalk:fuzz_truth (Schedule.circuit s) in
       List.for_all (fun (i, j) -> not (Schedule.overlaps s i j)) instances)
 
 let fuzz_suite =
@@ -489,6 +481,68 @@ let fuzz_suite =
     ] )
 
 let suite = suite @ [ fuzz_suite ]
+
+(* ---- windows as slices: every window of Window_sched's partition,
+   cut from the whole-circuit problem, equals Encoding.prepare run on
+   the window's own sub-circuit ---- *)
+
+let slice_edges =
+  (* Every Poughkeepsie edge, plus the flagged ones again, so random
+     CNOTs often land on interfering pairs. *)
+  let flagged =
+    List.concat_map (fun (a, b) -> [ a; b ])
+      (Core.Crosstalk.high_crosstalk_pairs truth (Device.calibration pough) ~threshold:3.0)
+  in
+  Array.of_list (Topology.edges (Device.topology pough) @ flagged @ flagged)
+
+let gen_slice_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 200)
+      (frequency
+         [
+           (2, map (fun q -> `H q) (int_range 0 19));
+           (6, map (fun i -> `Cx i) (int_range 0 (Array.length slice_edges - 1)));
+           (1, map (fun qs -> `Barrier (List.sort_uniq compare qs))
+                 (list_size (int_range 1 4) (int_range 0 19)));
+         ]))
+
+let slice_circuit ops =
+  Circuit.measure_all
+    (List.fold_left
+       (fun c op ->
+         match op with
+         | `H q -> Circuit.h c q
+         | `Cx i ->
+           let a, b = slice_edges.(i) in
+           Circuit.cnot c ~control:a ~target:b
+         | `Barrier qs -> Circuit.barrier c qs)
+       (Circuit.create 20) ops)
+
+let prop_window_slice_is_prepare =
+  QCheck.Test.make ~name:"window slice equals prepare on the window's sub-circuit" ~count:60
+    (QCheck.make gen_slice_ops) (fun ops ->
+      let whole = prepared ~xtalk:truth (slice_circuit ops) in
+      let gates = Array.of_list (Circuit.gates whole.Encoding.circuit) in
+      List.for_all
+        (fun window_gates ->
+          List.for_all
+            (fun (lo, hi) ->
+              let sub = ref (Circuit.create 20) in
+              for id = lo to hi - 1 do
+                sub := Circuit.add !sub gates.(id).Core.Gate.kind gates.(id).Core.Gate.qubits
+              done;
+              let s = Encoding.slice whole ~lo ~hi and d = prepared ~xtalk:truth !sub in
+              s.Encoding.instances = d.Encoding.instances
+              && s.Encoding.preds = d.Encoding.preds
+              && s.Encoding.durations = d.Encoding.durations
+              && Circuit.gates s.Encoding.circuit = Circuit.gates d.Encoding.circuit
+              && s.Encoding.flagged = d.Encoding.flagged)
+            (Core.Window_sched.partition ~window_gates whole))
+        [ 1; 7; 24; 160 ])
+
+let suite =
+  suite
+  @ [ ("scheduler.slice", [ QCheck_alcotest.to_alcotest prop_window_slice_is_prepare ]) ]
 
 let evaluate_lifetimes () =
   let c = swap_circuit 5 12 in

@@ -516,12 +516,12 @@ let conflict_keeps_watchers () =
 let scheduler_encoding_matches_enumeration () =
   let device, xtalk, circuit = Test_faults.ladder_fixture () in
   let circuit = Core.Circuit.measure_all circuit in
-  let dag = Core.Dag.of_circuit circuit in
-  let durations = Core.Durations.assign device circuit in
+  let problem = Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 circuit in
   List.iter
     (fun omega ->
       let enc =
-        Core.Encoding.build ~device ~xtalk ~omega ~threshold:3.0 ~dag ~durations ()
+        Core.Encoding.build ~device ~xtalk ~omega ~instances:problem.Core.Encoding.instances
+          problem
       in
       let s = enc.Core.Encoding.solver in
       Alcotest.(check bool) "has pairs" true (enc.Core.Encoding.pairs <> []);

@@ -212,8 +212,9 @@ let windowed_quality_gate () =
         (Xtalk_sched.rung_name exact_stats.Xtalk_sched.rung);
       Alcotest.(check string) (name ^ " windowed rung") "windowed"
         (Xtalk_sched.rung_name win_stats.Xtalk_sched.rung);
-      let oe = Evaluate.objective ~omega:0.5 device ~xtalk exact_sched in
-      let ow = Evaluate.objective ~omega:0.5 device ~xtalk win_sched in
+      let problem = Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 c in
+      let oe = Evaluate.objective ~omega:0.5 device ~xtalk problem exact_sched in
+      let ow = Evaluate.objective ~omega:0.5 device ~xtalk problem win_sched in
       if ow > (oe *. quality_factor) +. 1e-6 then
         Alcotest.failf "%s: windowed objective %.6f exceeds %.1fx exact %.6f" name ow
           quality_factor oe)
@@ -229,7 +230,8 @@ let objective_matches_solver () =
       (Core.Swap_circuits.build device ~src:0 ~dst:13).Core.Swap_circuits.circuit
   in
   let sched, stats = Xtalk_sched.schedule ~omega:0.5 ~device ~xtalk c in
-  let recomputed = Evaluate.objective ~omega:0.5 device ~xtalk sched in
+  let problem = Core.Encoding.prepare ~device ~xtalk ~threshold:3.0 c in
+  let recomputed = Evaluate.objective ~omega:0.5 device ~xtalk problem sched in
   (* The solver adds an infinitesimal span tie-break (1e-9 per ns,
      first start to readout) that the recomputation deliberately
      omits; it is bounded by 1e-9 * makespan. *)
