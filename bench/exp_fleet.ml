@@ -30,7 +30,6 @@ module Faults = Core.Service_faults
 module Fleet = Core.Fleet
 module Shard = Core.Shard
 module Replica = Core.Replica
-module Router = Core.Router
 
 let make_registry () =
   let device = Core.Presets.example_6q () in
@@ -384,14 +383,13 @@ let kill_json r =
       ("lost_acknowledged", Json.Number (float_of_int r.lost));
     ]
 
-let run ~smoke ~jobs ~dir ~out =
+let run ~smoke ~dir ~out =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let requests = if smoke then 18 else 48 in
   let shard_counts = if smoke then [ 1; 2 ] else [ 1; 2; 3 ] in
   let jobs_list = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
   let clean_seeds = if smoke then 2 else 5 in
   let fault_seeds = if smoke then 2 else 5 in
-  ignore jobs;
   Printf.printf "fleet bench: matrix %d requests over shards x jobs, then %d clean + %d fault kill seeds\n%!"
     requests clean_seeds fault_seeds;
   let cells = run_matrix ~dir ~requests ~shard_counts ~jobs_list in

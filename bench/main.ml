@@ -47,7 +47,7 @@
         aggregate, DD+ZNE is never worse than the better single
         strategy, and the cell table is bit-identical at --jobs 1/2/4;
         --smoke shrinks workloads and trials, --trials N overrides)
-     dune exec bench/main.exe -- --fleet-bench --jobs 2
+     dune exec bench/main.exe -- --fleet-bench
        (sharded serve tier under kill-a-shard chaos: a determinism
         matrix over shard counts x jobs, then seeded single-shard
         kill -9 drills with peer-replica rebuild, plus fault seeds
@@ -106,8 +106,7 @@ let modes args =
     ("--bench-exec", Microbench.bench_exec_json);
     ( "--fleet-bench",
       fun () ->
-        Exp_fleet.run ~smoke ~jobs:(int_flag "--jobs" 2)
-          ~dir:(str_flag "--fleet-dir" "fleet-scratch")
+        Exp_fleet.run ~smoke ~dir:(str_flag "--fleet-dir" "fleet-scratch")
           ~out:(str_flag "--out" "BENCH_fleet.json") );
     ( "--fleet-drill",
       fun () ->

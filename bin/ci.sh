@@ -25,8 +25,10 @@
 #   - an error-mitigation smoke benchmark (DD must beat no-DD on the
 #     idle-heavy XtalkSched slice, ZNE must beat the unmitigated
 #     aggregate, the cell table must be jobs-identical);
-#   - a fleet smoke benchmark (shard-count determinism matrix plus
-#     seeded kill drills);
+#   - the full fleet benchmark (shard-count determinism matrix plus
+#     seeded kill drills), whose matrix digests, gates, lost count and
+#     clean-seed rows must equal the committed BENCH_fleet.json (the
+#     fault seeds' rows vary from run to run and are not compared);
 #   - a short perfbench serve-hot run (perfbench/README.md): the
 #     shipped daemon over its socket under a Zipf replay of cached
 #     compiles, every response checked against perfbench's own
@@ -219,9 +221,22 @@ echo "ci: mitigation smoke (dd/zne leaderboard gates, --jobs 1 vs 2 determinism)
 dune exec bench/main.exe -- --mitig-bench --smoke --jobs 2 \
   --out "$SCRATCH/BENCH_mitig.json"
 
-echo "ci: fleet smoke (shard-count determinism matrix + seeded kill drills)"
-dune exec bench/main.exe -- --fleet-bench --smoke \
+echo "ci: fleet bench (determinism matrix + seeded kill drills) must match BENCH_fleet.json"
+dune exec bench/main.exe -- --fleet-bench \
   --fleet-dir "$SCRATCH/fleet-bench" --out "$SCRATCH/BENCH_fleet.json"
+python3 - "$SCRATCH/BENCH_fleet.json" BENCH_fleet.json <<'PY'
+import json, sys
+new, ref = (json.load(open(p)) for p in sys.argv[1:])
+def pinned(d):
+    clean = [r for r in d["per_seed"] if not r["faulty"]]
+    return {"matrix": d["matrix"], "gates": d["gates"],
+            "lost_acknowledged": d["lost_acknowledged"], "clean_seeds": clean}
+a, b = pinned(new), pinned(ref)
+bad = [k for k in a if a[k] != b[k]]
+if bad:
+    sys.exit("ci: fleet bench differs from the committed BENCH_fleet.json in: " + ", ".join(bad))
+print("ci: fleet bench: matrix, gates, lost count and clean seeds match")
+PY
 
 echo "ci: perfbench serve-hot (seed $PERF_SEED, 5 s): correct, 0 failed, >= 1000 req/s"
 if ! python3 perfbench/run.py --workload serve-hot --seed "$PERF_SEED" --seconds 5 \

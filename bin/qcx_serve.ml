@@ -152,13 +152,6 @@ let batch_window_term =
   in
   Arg.(value & opt float 0.001 & info [ "batch-window" ] ~docv:"SECONDS" ~doc)
 
-let max_inflight_term =
-  let doc =
-    "Router-to-shard pipelining depth: chunks outstanding per shard connection before \
-     the next waits for a response."
-  in
-  Arg.(value & opt int 4 & info [ "max-inflight" ] ~docv:"N" ~doc)
-
 let lookup_device name =
   match String.lowercase_ascii name with
   | "example6q" | "example" -> Some (Core.Presets.example_6q ())
@@ -178,7 +171,7 @@ let damaged_snapshot dropped =
 let run devices_csv socket once snapshot_dir oracle calibration_dir calibration_seed jobs
     queue_bound cache_capacity cache_file max_frame max_compile breaker_threshold
     breaker_cooloff breaker_min_rung checkpoint_every write_timeout shards shard_index
-    router_only fleet_dir backlog forward_timeout batch_window max_inflight =
+    router_only fleet_dir backlog forward_timeout batch_window =
   let names =
     String.split_on_char ',' devices_csv
     |> List.map String.trim
@@ -205,8 +198,8 @@ let run devices_csv socket once snapshot_dir oracle calibration_dir calibration_
     Printf.eprintf "--shards must be at least 1\n";
     exit 2
   end;
-  if batch_window < 0.0 || max_inflight < 1 then begin
-    Printf.eprintf "--batch-window must be >= 0 and --max-inflight >= 1\n";
+  if batch_window < 0.0 then begin
+    Printf.eprintf "--batch-window must be >= 0\n";
     exit 2
   end;
   (match shard_index with
@@ -340,8 +333,7 @@ let run devices_csv socket once snapshot_dir oracle calibration_dir calibration_
         (Core.Registry.find probe d)
     in
     let transport =
-      Core.Router.socket_transport ~timeout:forward_timeout ~max_inflight
-        ~socket_for:shard_socket ()
+      Core.Router.socket_transport ~timeout:forward_timeout ~socket_for:shard_socket ()
     in
     let router = Core.Router.create ~width ~nshards:shards ~transport () in
     let metrics = Core.Server.create_metrics () in
@@ -477,6 +469,6 @@ let cmd =
       $ max_frame_term $ max_compile_term $ breaker_threshold_term $ breaker_cooloff_term
       $ breaker_min_rung_term $ checkpoint_every_term $ write_timeout_term $ shards_term
       $ shard_index_term $ router_only_term $ fleet_dir_term $ backlog_term
-      $ forward_timeout_term $ batch_window_term $ max_inflight_term)
+      $ forward_timeout_term $ batch_window_term)
 
 let () = exit (Cmd.eval' cmd)

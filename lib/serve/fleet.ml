@@ -12,24 +12,20 @@ type t = {
   root : string;
   nshards : int;
   service_config : Service.config;
-  fsync : bool;
-  replica_batch : int;
   make_registry : unit -> Registry.t;
   clock : (unit -> float) option;
   shards : Shard.t option array;
   router : Router.t;
 }
 
-let create ?(service_config = Service.default_config) ?(router_config = Router.default_config)
-    ?clock ?(fsync = true) ?(replica_batch = 1) ~root ~nshards ~make_registry () =
+let create ?(service_config = Service.default_config) ?clock ~root ~nshards ~make_registry () =
   if nshards <= 0 then invalid_arg "Fleet.create: nshards must be positive";
   let shards = Array.make nshards None in
   let rec boot k =
     if k >= nshards then Ok ()
     else
       match
-        Shard.create ~config:service_config ?clock ~fsync ~replica_batch ~root ~index:k
-          ~nshards ~make_registry ()
+        Shard.create ~config:service_config ?clock ~root ~index:k ~nshards ~make_registry ()
       with
       | Error e -> Error e
       | Ok sh ->
@@ -43,30 +39,17 @@ let create ?(service_config = Service.default_config) ?(router_config = Router.d
     let width device =
       Option.map (fun e -> Device.nqubits e.Registry.device) (Registry.find probe device)
     in
+    (* A call never blocks on a peer, so serving the chunks one after
+       another is exact. *)
     let transport =
-      Router.transport_of_send (fun ~shard lines ->
+      List.map (fun (shard, lines) ->
           match shards.(shard) with
           | None -> Error "shard is down"
-          | Some sh ->
-            let resp, _stop = Server.handle_lines (Shard.service sh) lines in
-            Ok resp)
+          | Some sh -> Ok (fst (Server.handle_lines (Shard.service sh) lines)))
     in
-    let router = Router.create ~config:router_config ?clock ~width ~nshards ~transport () in
-    Ok
-      {
-        root;
-        nshards;
-        service_config;
-        fsync;
-        replica_batch;
-        make_registry;
-        clock;
-        shards;
-        router;
-      }
+    let router = Router.create ?clock ~width ~nshards ~transport () in
+    Ok { root; nshards; service_config; make_registry; clock; shards; router }
 
-let nshards t = t.nshards
-let router t = t.router
 let shard t k = t.shards.(k)
 let alive t = Array.fold_left (fun n s -> if s = None then n else n + 1) 0 t.shards
 
@@ -118,9 +101,8 @@ let restart t ~shard =
   else begin
     Router.set_rebuilding t.router shard true;
     match
-      Shard.create ~config:t.service_config ?clock:t.clock ~fsync:t.fsync
-        ~replica_batch:t.replica_batch ~root:t.root ~index:shard ~nshards:t.nshards
-        ~make_registry:t.make_registry ()
+      Shard.create ~config:t.service_config ?clock:t.clock ~root:t.root ~index:shard
+        ~nshards:t.nshards ~make_registry:t.make_registry ()
     with
     | Error e ->
       Router.set_rebuilding t.router shard false;

@@ -1,8 +1,9 @@
 (** In-process fleet harness (DESIGN.md §14): N {!Shard}s behind a
-    {!Router} over a direct function-call transport — the same
-    replication, failover, and rebuild machinery as the multi-process
-    deployment, minus the sockets, so the fleet bench and tests can
-    exercise kill/rebuild semantics deterministically.
+    {!Router} whose transport is a [List.map] of {!Server.handle_lines}
+    over the shards' services — the same replication, failover, and
+    rebuild machinery as the multi-process deployment, minus the
+    sockets, so the fleet bench and tests can exercise kill/rebuild
+    semantics deterministically.
 
     {!kill} is a real crash: the shard's descriptors are closed
     without flushing, its snapshot and journal are deleted, and only
@@ -15,10 +16,7 @@ type t
 
 val create :
   ?service_config:Service.config ->
-  ?router_config:Router.config ->
   ?clock:(unit -> float) ->
-  ?fsync:bool ->
-  ?replica_batch:int ->
   root:string ->
   nshards:int ->
   make_registry:(unit -> Registry.t) ->
@@ -26,10 +24,9 @@ val create :
   (t, string) result
 (** Boot all [nshards] under [root].  Every shard gets its own
     registry from [make_registry] — identical epochs, so cache keys
-    agree fleet-wide. *)
+    agree fleet-wide.  A chunk for a killed shard answers [Error],
+    which the router counts as a shard failure. *)
 
-val nshards : t -> int
-val router : t -> Router.t
 val shard : t -> int -> Shard.t option
 val alive : t -> int
 
@@ -41,8 +38,6 @@ val canonical_state : t -> shard:int -> (string, string) result
 (** The shard's cache as a canonical string: its entries' snapshot
     lines sorted by cache key, so LRU recency (which is deliberately
     not replicated) cannot make equal contents compare unequal. *)
-
-val canonical_of_cache : Cache.t -> string
 
 val kill : t -> shard:int -> (string, string) result
 (** Crash the shard (no flush, no checkpoint), delete its snapshot and

@@ -12,12 +12,12 @@ let ( let* ) = Result.bind
    splicing is detected, and a reopened sender continues the stream
    where it left off).
 
-   The sender buffers appends and acknowledges a batch only once the
-   bytes are written AND fsync'd to the replica file; everything not
-   yet acknowledged is the replication lag surfaced in [health].  A
-   failed flush (injected partition, full disk) keeps the batch
-   pending — the next append retries, so a healed partition drains
-   the lag automatically. *)
+   Every append flushes: the sender acknowledges its pending lines only
+   once the bytes are written AND fsync'd to the replica file;
+   everything not yet acknowledged is the replication lag surfaced in
+   [health].  A failed flush (injected partition, full disk) keeps the
+   lines pending — the next append retries, so a healed partition
+   drains the lag automatically. *)
 
 type fault = Partition | Slow_ack of float
 
@@ -85,8 +85,6 @@ let replay ~path ~shard =
 type sender = {
   path : string;
   shard : int;
-  fsync : bool;
-  batch : int;
   mutable fd : Unix.file_descr option;
   mutable next_seq : int;
   mutable pending : string list;  (* encoded lines, newest first *)
@@ -108,8 +106,7 @@ let write_all fd bytes =
     off := !off + Unix.write fd bytes !off (len - !off)
   done
 
-let open_sender ~path ~shard ?(fsync = true) ?(batch = 1) () =
-  if batch <= 0 then invalid_arg "Replica.open_sender: batch must be positive";
+let open_sender ~path ~shard =
   let rep = replay ~path ~shard in
   try
     let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
@@ -125,8 +122,6 @@ let open_sender ~path ~shard ?(fsync = true) ?(batch = 1) () =
       {
         path;
         shard;
-        fsync;
-        batch;
         fd = Some fd;
         next_seq;
         pending = [];
@@ -143,10 +138,7 @@ let open_sender ~path ~shard ?(fsync = true) ?(batch = 1) () =
   with Unix.Unix_error (err, _, _) ->
     Error (Printf.sprintf "cannot open replica %s: %s" path (Unix.error_message err))
 
-let path s = s.path
 let lag s = (List.length s.pending, s.pending_bytes)
-let peak_lag s = (s.peak_lag_entries, s.peak_lag_bytes)
-let appended s = s.appended
 let acked s = s.acked
 let failed_flushes s = s.failed_flushes
 let set_fault s fault = s.fault <- fault
@@ -173,9 +165,9 @@ let flush s =
           List.iter
             (fun line -> write_all fd (Bytes.of_string (line ^ "\n")))
             (List.rev s.pending);
-          if s.fsync then Unix.fsync fd;
-          (* The ack: bytes written and durable.  Only now does the
-             batch leave the lag counter. *)
+          Unix.fsync fd;
+          (* The ack: bytes written and durable.  Only now do the
+             pending lines leave the lag counter. *)
           let n = List.length s.pending in
           s.acked <- s.acked + n;
           s.acked_bytes <- s.acked_bytes + s.pending_bytes;
@@ -194,10 +186,10 @@ let append s record =
   s.appended <- s.appended + 1;
   s.peak_lag_entries <- max s.peak_lag_entries (List.length s.pending);
   s.peak_lag_bytes <- max s.peak_lag_bytes s.pending_bytes;
-  (* Auto-flush at the batch bound.  During a partition the pending
-     list grows past the bound, so every subsequent append retries —
-     a healed link drains the backlog without outside help. *)
-  if List.length s.pending >= s.batch then ignore (flush s)
+  (* During a partition the pending list grows, and every later append
+     retries it — a healed link drains the backlog without outside
+     help. *)
+  ignore (flush s)
 
 let close s =
   match s.fd with

@@ -5,32 +5,29 @@
     crc-over-bytes-as-written discipline plus a shard tag (a replica
     file cannot be replayed into the wrong shard) and a strictly
     increasing sequence number (reordered or spliced files stop the
-    replay; a reopened sender continues the stream).  A batch is
-    acknowledged only after write + fsync; un-acked entries are the
-    replication lag surfaced in the [health] op.  Failed flushes
-    (partitioned peer, full disk) keep the batch pending and every
-    later append retries, so a healed partition drains the lag
-    automatically. *)
+    replay; a reopened sender continues the stream).  Every append
+    flushes, and lines are acknowledged only after write + fsync;
+    un-acked entries are the replication lag surfaced in the [health]
+    op.  Failed flushes (partitioned peer, full disk) keep the lines
+    pending and every later append retries, so a healed partition
+    drains the lag automatically. *)
 
 (** Injected sender faults for the chaos harness (via {!set_fault}). *)
 type fault =
-  | Partition  (** the flush fails; the batch stays pending *)
+  | Partition  (** the flush fails; the lines stay pending *)
   | Slow_ack of float  (** the flush sleeps this long before acking *)
 
 type sender
 
-val open_sender :
-  path:string -> shard:int -> ?fsync:bool -> ?batch:int -> unit -> (sender, string) result
+val open_sender : path:string -> shard:int -> (sender, string) result
 (** Open (or create) the replica file for [shard], truncating any torn
     tail back to the valid prefix, and continue sequence numbering
-    after the last valid record.  [batch] (default 1, i.e. synchronous
-    replication) is the number of appends buffered before an automatic
-    {!flush}. *)
+    after the last valid record. *)
 
 val append : sender -> Journal.record -> unit
-(** Buffer one record (never fails, never blocks on a partition);
-    auto-flushes when the pending batch reaches the batch bound.  A
-    failing flush leaves the batch pending — visible as lag. *)
+(** Queue one record and {!flush} (never fails, never blocks on a
+    partition).  A failing flush leaves the lines pending — visible as
+    lag. *)
 
 val flush : sender -> (int, string) result
 (** Write + fsync every pending record; the ack.  Returns how many
@@ -40,15 +37,6 @@ val lag : sender -> int * int
 (** Replication lag as [(entries, bytes)] — appended but not yet
     acknowledged. *)
 
-val peak_lag : sender -> int * int
-(** High-water marks of {!lag} over the sender's lifetime — under
-    pipelined load the instantaneous lag is usually 0 by the time
-    [health] samples it, while the peak shows how deep the bursts ran
-    (also surfaced as [peak_lag_entries]/[peak_lag_bytes] in
-    {!to_json}). *)
-
-val path : sender -> string
-val appended : sender -> int
 val acked : sender -> int
 val failed_flushes : sender -> int
 
@@ -57,7 +45,10 @@ val set_fault : sender -> (nth:int -> fault option) option -> unit
     attempt index. *)
 
 val to_json : sender -> Qcx_persist.Json.t
-(** Counters + lag, embedded in the shard's health payload. *)
+(** Counters + lag, embedded in the shard's health payload; the
+    [peak_lag_entries]/[peak_lag_bytes] high-water marks show how deep
+    bursts ran, since the instantaneous lag is usually 0 by the time
+    [health] samples it. *)
 
 val close : sender -> unit
 (** Close the file descriptor without flushing (kill -9 semantics are

@@ -8,11 +8,9 @@
    what lets a rebuilt shard rejoin with its replica-restored cache
    still addressing the right keys. *)
 
-type t = {
-  nshards : int;
-  vnodes : int;
-  points : (int * int) array;  (* (hash, shard), sorted by hash *)
-}
+type t = (int * int) array (* (hash, shard) points, sorted by hash *)
+
+let vnodes = 64
 
 (* 56 bits of an MD5 digest: plenty of spread, and always a
    non-negative OCaml int on 64-bit platforms. *)
@@ -24,26 +22,22 @@ let hash_str s =
   done;
   !v
 
-let create ?(vnodes = 64) ~nshards () =
+let create ~nshards =
   if nshards <= 0 then invalid_arg "Ring.create: nshards must be positive";
-  if vnodes <= 0 then invalid_arg "Ring.create: vnodes must be positive";
   let points =
     Array.init (nshards * vnodes) (fun i ->
         let shard = i / vnodes and v = i mod vnodes in
         (hash_str (Printf.sprintf "qcx-ring-v1 shard=%d vnode=%d" shard v), shard))
   in
   (* Ties (astronomically unlikely) break by shard id, keeping the
-     point order a pure function of (nshards, vnodes). *)
+     point order a pure function of [nshards]. *)
   Array.sort compare points;
-  { nshards; vnodes; points }
+  points
 
-let nshards t = t.nshards
-let vnodes t = t.vnodes
-let points t = Array.copy t.points
+let points t = Array.copy t
 
 (* Index of the first point with hash >= h, wrapping past the top. *)
-let start_index t h =
-  let pts = t.points in
+let start_index pts h =
   let n = Array.length pts in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
@@ -52,10 +46,9 @@ let start_index t h =
   done;
   if !lo = n then 0 else !lo
 
-let lookup t ~live key =
-  let pts = t.points in
+let lookup pts ~live key =
   let n = Array.length pts in
-  let s0 = start_index t (hash_str key) in
+  let s0 = start_index pts (hash_str key) in
   let rec walk i =
     if i >= n then None
     else

@@ -1,22 +1,19 @@
 (** Consistent-hash ring mapping cache keys to fleet shards
     (DESIGN.md §14).
 
-    Shards contribute [vnodes] virtual points each on a hash circle; a
+    Shards contribute 64 virtual points each on a hash circle; a
     key is owned by the first point at or clockwise-after the key's
     own hash.  Failover is a clockwise walk past dead shards — not a
     rehash — so removing or re-adding one shard only remaps the keys
     on that shard's own arcs.  The point set is a pure function of
-    [(nshards, vnodes)]: every router instance, at every process, at
+    [nshards]: every router instance, at every process, at
     every jobs count, derives the identical ring. *)
 
 type t
 
-val create : ?vnodes:int -> nshards:int -> unit -> t
-(** [vnodes] (default 64) points per shard.  Raises
-    [Invalid_argument] on non-positive arguments. *)
-
-val nshards : t -> int
-val vnodes : t -> int
+val create : nshards:int -> t
+(** 64 points per shard.  Raises [Invalid_argument] unless
+    [nshards] is positive. *)
 
 val owner : t -> string -> int
 (** The key's owner with every shard live. *)

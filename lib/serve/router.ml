@@ -19,50 +19,27 @@ module Xtalk_sched = Qcx_scheduler.Xtalk_sched
    is what bounds tail latency during an outage.  Rebuilding shards
    are taken off the ring entirely so a warming cache never serves. *)
 
-type transport = {
-  send : shard:int -> string list -> (string list, string) result;
-      (** one batch, one shard: write the lines, read one response per
-          line (in order) *)
-  send_many : (int * string list) list -> (string list, string) result list;
-      (** pipelined fan-out: every chunk is written before any response
-          is awaited, so distinct shards proceed concurrently and one
-          shard can hold several chunks in flight.  Results come back
-          positionally.  A partial (short) [Ok] is allowed — the caller
-          salvages by response id. *)
-}
+(* Pipelined fan-out: every (shard, lines) chunk is written before any
+   response is awaited, so distinct shards proceed concurrently and one
+   shard can hold several chunks in flight.  Results come back
+   positionally, one response line per request line; a partial (short)
+   [Ok] is allowed — the caller salvages by response id. *)
+type transport = (int * string list) list -> (string list, string) result list
 
-(* Lift a plain send function into a transport; the sequential
-   [send_many] is exact for in-process transports (Fleet), where a
-   send never blocks on a peer. *)
-let transport_of_send send =
-  { send; send_many = List.map (fun (shard, lines) -> send ~shard lines) }
-
-type config = {
-  vnodes : int;
-  retry_backoff : float;  (** base for the jittered pre-retry sleep *)
-  jitter_seed : int;
-  default_budget : float;  (** retry budget when the request has no deadline *)
-  breaker : Breaker.config;
-}
-
-let default_config =
-  {
-    vnodes = 64;
-    retry_backoff = 0.02;
-    jitter_seed = 0;
-    default_budget = 5.0;
-    (* threshold 1: one connect/ack failure marks the arc degraded —
-       at fleet scale a dead peer fails every request it sees, and the
-       short cooloff turns re-probing into the health check. *)
-    breaker = { Breaker.default_config with Breaker.threshold = 1; cooloff_seconds = 0.5 };
-  }
+(* Retry and breaker settings.  Threshold 1: one connect/ack failure
+   marks the arc degraded — at fleet scale a dead peer fails every
+   request it sees, and the short cooloff turns re-probing into the
+   health check. *)
+let retry_backoff = 0.02 (* base for the jittered pre-retry sleep *)
+let jitter_seed = 0
+let default_budget = 5.0 (* retry budget when the request has no deadline *)
+let breaker_config = { Breaker.default_config with Breaker.threshold = 1; cooloff_seconds = 0.5 }
 
 type shard_state = Live | Degraded | Rebuilding
 
 let state_name = function Live -> "live" | Degraded -> "degraded" | Rebuilding -> "rebuilding"
 
 type t = {
-  config : config;
   nshards : int;
   ring : Ring.t;
   transport : transport;
@@ -80,19 +57,17 @@ type t = {
       (** reactor metrics hook, embedded in aggregated health/stats *)
 }
 
-let create ?(config = default_config) ?(clock = Unix.gettimeofday) ?(width = fun _ -> None)
-    ~nshards ~transport () =
+let create ?(clock = Unix.gettimeofday) ?(width = fun _ -> None) ~nshards ~transport () =
   if nshards <= 0 then invalid_arg "Router.create: nshards must be positive";
   {
-    config;
     nshards;
-    ring = Ring.create ~vnodes:config.vnodes ~nshards ();
+    ring = Ring.create ~nshards;
     transport;
-    breakers = Array.init nshards (fun _ -> Breaker.create config.breaker);
+    breakers = Array.init nshards (fun _ -> Breaker.create breaker_config);
     rebuilding = Array.make nshards false;
     clock;
     width;
-    rng = Rng.create (Hashtbl.hash (config.jitter_seed, "qcx-router-jitter"));
+    rng = Rng.create (Hashtbl.hash (jitter_seed, "qcx-router-jitter"));
     routed = 0;
     failovers = 0;
     retries = 0;
@@ -103,9 +78,6 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) ?(width = fun
 
 let set_serving t f = t.serving <- f
 
-let nshards t = t.nshards
-let ring t = t.ring
-let breaker t s = t.breakers.(s)
 let routable t s = not t.rebuilding.(s)
 
 let shard_state t s =
@@ -113,7 +85,7 @@ let shard_state t s =
   else match Breaker.state t.breakers.(s) with Breaker.Closed -> Live | _ -> Degraded
 
 let set_rebuilding t s v = t.rebuilding.(s) <- v
-let reset_breaker t s = t.breakers.(s) <- Breaker.create t.config.breaker
+let reset_breaker t s = t.breakers.(s) <- Breaker.create breaker_config
 
 (* ---- routing key ----
 
@@ -163,30 +135,13 @@ let router_json t =
     ]
     @ (match t.serving with Some f -> [ ("serving", f ()) ] | None -> []))
 
-(* One guarded attempt against one shard.  The breaker is both the
-   gate (Reject short-circuits without touching the socket) and the
-   detector (every outcome is recorded, so connect/ack timeouts feed
-   straight into the failover state machine). *)
-let attempt t ~shard lines =
-  let b = t.breakers.(shard) in
-  match Breaker.check b ~now:(t.clock ()) with
-  | Breaker.Reject _ -> Error "breaker open"
-  | Breaker.Admit | Breaker.Probe -> (
-    match t.transport.send ~shard lines with
-    | Ok resp when List.length resp = List.length lines ->
-      Breaker.record_success b ~now:(t.clock ());
-      Ok resp
-    | Ok _ ->
-      Breaker.record_failure b ~now:(t.clock ());
-      Error "short response from shard"
-    | Error e ->
-      Breaker.record_failure b ~now:(t.clock ());
-      Error e)
-
-(* Pipelined variant: (shard, lines) chunks — several may target the
+(* Guarded attempts: (shard, lines) chunks — several may target the
    same shard — gated per chunk by the shard's breaker, dispatched
-   through one [send_many] so every admitted pipe stays full, and
-   recorded per chunk so failures feed the failover detector.  A short
+   through one transport call so every admitted pipe stays full, and
+   recorded per chunk so failures feed the failover detector.  The
+   breaker is both the gate (Reject short-circuits without touching the
+   socket) and the detector (every outcome is recorded, so connect/ack
+   timeouts feed straight into the failover state machine).  A short
    [Ok] counts as a failure for the breaker, but the partial lines are
    returned so the caller can salvage resolved requests by id. *)
 let attempt_many t chunks =
@@ -199,7 +154,7 @@ let attempt_many t chunks =
       chunks
   in
   let admitted = List.filter_map (fun (s, l, adm) -> if adm then Some (s, l) else None) gated in
-  let outcomes = if admitted = [] then [] else t.transport.send_many admitted in
+  let outcomes = if admitted = [] then [] else t.transport admitted in
   let rec zip gated outcomes acc =
     match gated with
     | [] -> List.rev acc
@@ -326,11 +281,11 @@ let route_compiles t results items =
         List.fold_left
           (fun acc (_, _, _, _, _, deadline) ->
             match deadline with Some d -> Float.min acc (Float.max d 0.1) | None -> acc)
-          t.config.default_budget unresolved
+          default_budget unresolved
       in
       let remaining = budget -. (t.clock () -. t0) in
       let backoff =
-        Float.min (t.config.retry_backoff *. (0.5 +. Rng.unit_float t.rng)) remaining
+        Float.min (retry_backoff *. (0.5 +. Rng.unit_float t.rng)) remaining
       in
       if backoff > 0.0 then Unix.sleepf backoff;
       let successor_of ((_, _, _, _, key, _) as item) =
@@ -382,12 +337,12 @@ let anycast t ~id line =
       render (Wire.unavailable_response ~id:(Some id) ~attempts:t.nshards)
     end
     else if not (routable t s) then go (s + 1)
-    else match attempt t ~shard:s [ line ] with Ok [ resp ] -> resp | _ -> go (s + 1)
+    else match attempt_many t [ (s, [ line ]) ] with [ Ok [ resp ] ] -> resp | _ -> go (s + 1)
   in
   go 0
 
 (* The aggregated health/stats op doubles as the active health check:
-   every shard is probed — concurrently, through one [send_many], so a
+   every shard is probed — concurrently, through one transport call, so a
    dead shard's connect timeout never adds itself to every other
    shard's probe — and the probe outcome feeds its breaker, so a
    monitoring loop hitting [health] keeps the failure detector warm
@@ -503,7 +458,7 @@ let handle_frames ?(max_frame = Wire.default_max_frame) t frames =
           | Wire.Devices _ | Wire.Epoch_status _ -> anycast t ~id line
           | Wire.Shutdown _ ->
             stop := true;
-            ignore (t.transport.send_many (List.init t.nshards (fun s -> (s, [ line ]))));
+            ignore (t.transport (List.init t.nshards (fun s -> (s, [ line ]))));
             render
               (Json.Object
                  [
@@ -532,7 +487,7 @@ let handle_lines ?max_frame t lines =
 
    One lazily-connected persistent Unix-domain connection per shard,
    reconnected on demand, driven non-blocking through one select loop
-   per [send_many] call.  Chunks for distinct shards proceed
+   per transport call.  Chunks for distinct shards proceed
    concurrently; chunks for the same shard pipeline, at most
    [max_inflight] outstanding on the wire at once (the rest queue
    locally), with responses matched positionally per connection — the
@@ -556,8 +511,11 @@ type pipe = {
   mutable p_done : bool;
 }
 
-let socket_transport ?(timeout = 10.0) ?(max_inflight = 4) ~socket_for () =
-  let max_inflight = max 1 max_inflight in
+(* Chunks outstanding per shard connection before the next one waits
+   for a response. *)
+let max_inflight = 4
+
+let socket_transport ?(timeout = 10.0) ~socket_for () =
   let conns : (int, Unix.file_descr * Buffer.t) Hashtbl.t = Hashtbl.create 8 in
   let close_conn shard =
     match Hashtbl.find_opt conns shard with
@@ -584,8 +542,7 @@ let socket_transport ?(timeout = 10.0) ?(max_inflight = 4) ~socket_for () =
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Error (Unix.error_message err)))
   in
-  let send_many chunks =
-    match chunks with
+  function
     | [] -> []
     | chunks ->
       let deadline = Unix.gettimeofday () +. timeout in
@@ -724,8 +681,3 @@ let socket_transport ?(timeout = 10.0) ?(max_inflight = 4) ~socket_for () =
       in
       loop ();
       Array.to_list results
-  in
-  let send ~shard lines =
-    match send_many [ (shard, lines) ] with [ r ] -> r | _ -> Error "transport error"
-  in
-  { send; send_many }

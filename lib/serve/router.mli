@@ -12,56 +12,34 @@
     Forwarding is pipelined (DESIGN.md §15): each compile is retagged
     with a router-unique id, per-owner groups are cut into bounded
     chunks, and every chunk of a batch goes out through one
-    [send_many] — multiple chunks in flight per shard connection, so a
+    {!transport} call — multiple chunks in flight per shard connection, so a
     straggling shard no longer gates the others.  Responses come back
     by id and are retagged to the client id byte-exactly.  Per
     request, a routed compile gets the primary attempt on its owner
     plus at most one hedged retry on its ring successor, behind a
-    jittered backoff bounded by the request deadline (or the config
-    budget); exhaustion answers the typed [unavailable], never a
+    jittered backoff (20 ms base) bounded by the request deadline (or a
+    5 s budget); exhaustion answers the typed [unavailable], never a
     hang.  The aggregated [health]/[stats] ops probe every shard
     concurrently and feed the outcomes into the breakers — monitoring
     doubles as the active health check that closes breakers of
     recovered shards, and one dead shard's timeout is paid once, not
     once per shard. *)
 
-type transport = {
-  send : shard:int -> string list -> (string list, string) result;
-  send_many : (int * string list) list -> (string list, string) result list;
-}
-(** [send ~shard lines] must return exactly one response line per
-    request line, or [Error] — which counts as a shard failure.
-    [send_many] dispatches several (shard, lines) chunks at once —
-    possibly multiple per shard — and returns outcomes positionally; a
-    transport should overlap the chunks (the router's correctness does
-    not depend on it, only its latency).  A short [Ok] is permitted:
-    the router salvages the responses present by id and fails over the
-    rest. *)
-
-val transport_of_send : (shard:int -> string list -> (string list, string) result) -> transport
-(** Lift a plain send function; [send_many] degrades to a sequential
-    loop, which is exact for in-process transports ({!Fleet}). *)
-
-type config = {
-  vnodes : int;
-  retry_backoff : float;  (** base of the jittered pre-retry sleep, seconds *)
-  jitter_seed : int;
-  default_budget : float;  (** retry budget for requests with no deadline *)
-  breaker : Breaker.config;
-}
-
-val default_config : config
-(** vnodes 64, backoff 20 ms, budget 5 s, breaker threshold 1 /
-    cooloff 0.5 s. *)
-
-type shard_state = Live | Degraded | Rebuilding
-
-val state_name : shard_state -> string
+type transport = (int * string list) list -> (string list, string) result list
+(** One pipelined call: dispatch several [(shard, lines)] chunks at
+    once — possibly multiple per shard — and return one outcome per
+    chunk, positionally.  An outcome is one response line per request
+    line, or [Error], which counts as a shard failure.  A transport
+    should overlap the chunks (the router's correctness does not
+    depend on it, only its latency).  A short [Ok] is permitted: the
+    router salvages the responses present by id and fails over the
+    rest.  Every router op goes through it: routed compiles, the
+    [health]/[stats] probes, broadcasts, and the one-shard
+    [devices]/[epoch_status] queries (one chunk per call). *)
 
 type t
 
 val create :
-  ?config:config ->
   ?clock:(unit -> float) ->
   ?width:(string -> int option) ->
   nshards:int ->
@@ -70,23 +48,15 @@ val create :
   t
 (** [width device] is the device's qubit count, used to canonicalize
     circuits for the routing key (unknown devices still route, just
-    without width normalization). *)
-
-val nshards : t -> int
-val ring : t -> Ring.t
-val breaker : t -> int -> Breaker.t
-val shard_state : t -> int -> shard_state
-val routable : t -> int -> bool
+    without width normalization).  The ring has 64 vnodes per shard;
+    every shard's breaker trips on one failure and re-probes after a
+    0.5 s cooloff of [clock]. *)
 
 val set_rebuilding : t -> int -> bool -> unit
 (** While true the shard is off the ring (not routable). *)
 
 val reset_breaker : t -> int -> unit
 (** Fresh closed breaker — call when a rebuilt shard rejoins. *)
-
-val routing_key : t -> device:string -> params:Wire.params -> Qcx_circuit.Circuit.t -> string
-(** Pure function of (device, knobs, canonical circuit) — excludes the
-    epoch and the deadline, so equal cache keys always route alike. *)
 
 val handle_frames : ?max_frame:int -> t -> Server.frame list -> string list * bool
 (** The router's batch handler — same contract as
@@ -101,13 +71,12 @@ val set_serving : t -> (unit -> Qcx_persist.Json.t) option -> unit
     [health]/[stats] responses.  [qcx_serve --router] registers the
     {!Server} reactor metrics here. *)
 
-val socket_transport :
-  ?timeout:float -> ?max_inflight:int -> socket_for:(int -> string) -> unit -> transport
+val socket_transport : ?timeout:float -> socket_for:(int -> string) -> unit -> transport
 (** Unix-domain transport: one lazily-(re)connected persistent
     connection per shard at [socket_for shard], driven non-blocking
-    through one select loop per [send_many] call — chunks for distinct
-    shards proceed concurrently, chunks for the same shard pipeline
-    with at most [max_inflight] (default 4) outstanding on the wire.
+    through one select loop per call — chunks for distinct shards
+    proceed concurrently, chunks for the same shard pipeline with at
+    most 4 outstanding on the wire.
     Missing socket / refused connect fails fast; an exchange exceeding
     [timeout] (default 10 s) fails that shard's unresolved chunks.
     Every error closes the shard's connection so the next attempt

@@ -62,15 +62,14 @@ let health_fields t () =
         ] );
   ]
 
-let create ?(config = Service.default_config) ?clock ?(fsync = true) ?(replica_batch = 1)
-    ~root ~index ~nshards ~make_registry () =
+let create ?(config = Service.default_config) ?clock ~root ~index ~nshards ~make_registry () =
   if nshards <= 0 then invalid_arg "Shard.create: nshards must be positive";
   if index < 0 || index >= nshards then invalid_arg "Shard.create: index out of range";
   mkdir_p (shard_dir ~root index);
   mkdir_p (shard_dir ~root (peer ~nshards index));
   let service = Service.create ~config ?clock (make_registry ()) in
   let cfile = cache_file ~root index in
-  match Service.recover service ~cache_file:cfile ~fsync () with
+  match Service.recover service ~cache_file:cfile () with
   | Error e -> Error (Printf.sprintf "shard %d: recovery failed: %s" index e)
   | Ok r -> (
     let rpath = replica_path ~root ~nshards index in
@@ -92,7 +91,7 @@ let create ?(config = Service.default_config) ?clock ?(fsync = true) ?(replica_b
       end
       else (0, false)
     in
-    match Replica.open_sender ~path:rpath ~shard:index ~fsync ~batch:replica_batch () with
+    match Replica.open_sender ~path:rpath ~shard:index with
     | Error e -> Error (Printf.sprintf "shard %d: %s" index e)
     | Ok sender ->
       let boot =
@@ -112,13 +111,9 @@ let create ?(config = Service.default_config) ?clock ?(fsync = true) ?(replica_b
       Service.set_extra_health service (Some (health_fields t));
       Ok t)
 
-let index t = t.index
-let nshards t = t.nshards
 let service t = t.service
 let replica t = t.replica
 let boot t = t.boot
-let dir t = shard_dir ~root:t.root t.index
-let own_cache_file t = cache_file ~root:t.root t.index
 let own_replica_path t = replica_path ~root:t.root ~nshards:t.nshards t.index
 
 let close t =

@@ -27,8 +27,6 @@ type t
 val create :
   ?config:Service.config ->
   ?clock:(unit -> float) ->
-  ?fsync:bool ->
-  ?replica_batch:int ->
   root:string ->
   index:int ->
   nshards:int ->
@@ -38,28 +36,23 @@ val create :
 (** Create shard [index] of [nshards] under [root] (directories are
     made as needed).  [make_registry] builds a fresh device registry —
     every shard derives identical epochs from it, so cache keys agree
-    across the fleet.  [replica_batch] 1 (default) is synchronous
-    replication: every insert is flushed + fsync'd to the peer before
-    the response leaves. *)
+    across the fleet.  Replication is synchronous: every insert is
+    written and fsync'd to the peer before the response leaves. *)
 
-val index : t -> int
-val nshards : t -> int
 val service : t -> Service.t
 val replica : t -> Replica.sender
 val boot : t -> boot
 
-val dir : t -> string
-val own_cache_file : t -> string
 val own_replica_path : t -> string
 (** Where this shard's history lives in the PEER's directory — the
     file {!create} rebuilds from after a total local loss. *)
 
-val peer : nshards:int -> int -> int
-(** Ring successor [(k + 1) mod nshards] — the replication target. *)
-
-val shard_dir : root:string -> int -> string
 val cache_file : root:string -> int -> string
+(** [root/shard-<k>/cache.json], shard [k]'s snapshot. *)
+
 val replica_path : root:string -> nshards:int -> int -> string
+(** Shard [k]'s replica in its ring successor's directory,
+    [(k + 1) mod nshards]. *)
 
 val close : t -> unit
 (** Graceful: flush the replica, checkpoint, close both files. *)

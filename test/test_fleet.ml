@@ -43,7 +43,7 @@ let prop_key_maps_to_one_live_shard =
   in
   QCheck.Test.make ~name:"every key maps to exactly one live shard" ~count:500
     (QCheck.make gen) (fun (key, nshards, dead_mask) ->
-      let ring = Ring.create ~nshards () in
+      let ring = Ring.create ~nshards in
       let live s = dead_mask land (1 lsl s) = 0 in
       let any_live = List.exists live (List.init nshards Fun.id) in
       match Ring.lookup ring ~live key with
@@ -58,7 +58,7 @@ let prop_removal_remaps_only_victim_arc =
   QCheck.Test.make ~name:"removing a shard only remaps its own arc" ~count:500
     (QCheck.make gen) (fun (key, nshards, v) ->
       let victim = v mod nshards in
-      let ring = Ring.create ~nshards () in
+      let ring = Ring.create ~nshards in
       let owner = Ring.owner ring key in
       let without = Ring.lookup ring ~live:(fun s -> s <> victim) key in
       if owner <> victim then
@@ -74,9 +74,9 @@ let prop_readd_restores_ownership =
   in
   QCheck.Test.make ~name:"re-adding a shard restores exact ownership" ~count:500
     (QCheck.make gen) (fun (key, nshards) ->
-      let ring = Ring.create ~nshards () in
+      let ring = Ring.create ~nshards in
       (* every router instance derives the identical ring *)
-      Ring.points ring = Ring.points (Ring.create ~nshards ())
+      Ring.points ring = Ring.points (Ring.create ~nshards)
       && Ring.lookup ring ~live:(fun _ -> true) key = Some (Ring.owner ring key))
 
 (* ---- replica stream ---- *)
@@ -114,7 +114,7 @@ let replica_roundtrip_and_continuation () =
   let first, rest =
     match records with a :: b :: c :: d :: _ -> ([ a; b; c ], d) | _ -> assert false
   in
-  (match Replica.open_sender ~path ~shard:0 () with
+  (match Replica.open_sender ~path ~shard:0 with
   | Error e -> Alcotest.fail e
   | Ok sender ->
     List.iter (Replica.append sender) first;
@@ -127,7 +127,7 @@ let replica_roundtrip_and_continuation () =
   Alcotest.(check (list int)) "sequence 0..2" [ 0; 1; 2 ]
     (List.map fst r.Replica.records);
   (* a reopened sender continues the stream, it does not restart it *)
-  (match Replica.open_sender ~path ~shard:0 () with
+  (match Replica.open_sender ~path ~shard:0 with
   | Error e -> Alcotest.fail e
   | Ok sender ->
     Replica.append sender rest;
@@ -146,7 +146,7 @@ let replica_torn_tail () =
   let path = fresh_dir "qcx_test_replica_torn" ^ ".ndjson" in
   if Sys.file_exists path then Sys.remove path;
   let records = sample_records 3 in
-  (match Replica.open_sender ~path ~shard:2 () with
+  (match Replica.open_sender ~path ~shard:2 with
   | Error e -> Alcotest.fail e
   | Ok sender ->
     List.iter (Replica.append sender) records;
@@ -162,7 +162,7 @@ let replica_torn_tail () =
   Alcotest.(check bool) "torn tail detected" true torn.Replica.torn;
   Alcotest.(check int) "valid prefix survives" 2 (List.length torn.Replica.records);
   (* reopening truncates back to the valid prefix and continues after it *)
-  (match Replica.open_sender ~path ~shard:2 () with
+  (match Replica.open_sender ~path ~shard:2 with
   | Error e -> Alcotest.fail e
   | Ok sender ->
     Replica.append sender (List.hd records);
@@ -178,7 +178,7 @@ let replica_partition_lag_heals () =
   let path = fresh_dir "qcx_test_replica_part" ^ ".ndjson" in
   if Sys.file_exists path then Sys.remove path;
   let records = sample_records 3 in
-  (match Replica.open_sender ~path ~shard:0 () with
+  (match Replica.open_sender ~path ~shard:0 with
   | Error e -> Alcotest.fail e
   | Ok sender ->
     (* the first two flush attempts hit a partitioned peer *)
@@ -339,6 +339,42 @@ let fleet_all_dead_is_unavailable () =
           (Json.find_str "status" doc = Ok "unavailable")
       | Error e -> Alcotest.fail e)
     | _ -> Alcotest.fail "expected one response");
+    Fleet.close fleet
+
+(* The fan-out ops with shard 0 down: devices and epoch_status are
+   answered by one live shard, a bump reaches every live shard, and
+   once shard 0 is rebuilt a bump reaches all three. *)
+let fleet_router_fan_out () =
+  let root = fresh_dir "qcx_test_fleet_fanout" in
+  match Fleet.create ~service_config:fleet_config ~root ~nshards:3 ~make_registry () with
+  | Error e -> Alcotest.fail e
+  | Ok fleet ->
+    let ask line =
+      match Fleet.handle_lines fleet [ line ] with
+      | [ resp ], _ -> (
+        match Json.of_string resp with Ok doc -> doc | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.fail "expected one response"
+    in
+    let check_ok what doc =
+      Alcotest.(check (result string string)) (what ^ " answers ok") (Ok "ok")
+        (Json.find_str "status" doc)
+    in
+    let bump id =
+      let doc = ask (Printf.sprintf {|{"op":"bump","id":"%s","device":"example6q"}|} id) in
+      check_ok id doc;
+      match Json.member "fleet_applied" doc with
+      | Some (Json.Number n) -> int_of_float n
+      | _ -> Alcotest.fail "no fleet_applied"
+    in
+    ignore (Fleet.kill fleet ~shard:0 : (string, string) result);
+    let devices = ask {|{"op":"devices","id":"d"}|} in
+    check_ok "devices" devices;
+    Alcotest.(check (result string string)) "devices keeps its id" (Ok "d")
+      (Json.find_str "id" devices);
+    check_ok "epoch_status" (ask {|{"op":"epoch_status","id":"e","device":"example6q"}|});
+    Alcotest.(check int) "bump reaches the live shards" 2 (bump "b1");
+    (match Fleet.restart fleet ~shard:0 with Ok _ -> () | Error e -> Alcotest.fail e);
+    Alcotest.(check int) "bump reaches every shard after restart" 3 (bump "b2");
     Fleet.close fleet
 
 (* ---- typed overload shed ---- *)
@@ -502,6 +538,7 @@ let suite =
       [
         Alcotest.test_case "failover" `Quick fleet_router_failover;
         Alcotest.test_case "all shards dead" `Quick fleet_all_dead_is_unavailable;
+        Alcotest.test_case "fan-out with a shard down" `Quick fleet_router_fan_out;
       ] );
     ( "fleet.server",
       [ Alcotest.test_case "typed overload shed" `Quick server_sheds_over_bound ] );
